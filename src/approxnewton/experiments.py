@@ -253,7 +253,24 @@ def _trace_rows(trace: solvers.IterationTrace):
     return rows
 
 
+EMBEDDING_PROBLEM_KEYS = frozenset({"kind", "d", "m", "eps", "seed"})
+EMBEDDING_CELL_KEYS = frozenset({"sketch_kind", "sketch_size"})
+
+
+def _check_embedding_config(cfg: ExperimentConfig) -> None:
+    unknown = set(cfg.problem) - EMBEDDING_PROBLEM_KEYS
+    if unknown:
+        raise DomainError(f"unknown embedding problem keys: {sorted(unknown)}")
+    for cell in cfg.grid:
+        unknown = set(cell) - EMBEDDING_CELL_KEYS
+        if unknown:
+            raise DomainError(f"unknown embedding cell keys: {sorted(unknown)}")
+        if "sketch_kind" not in cell:
+            raise DomainError(f"embedding cell {cell} has no sketch_kind")
+
+
 def _run_embedding_check(cfg: ExperimentConfig, out_dir: str) -> int:
+    _check_embedding_config(cfg)
     problem = cfg.problem
     d = problem.get("d", 10)
     m = problem.get("m", 40 * d)

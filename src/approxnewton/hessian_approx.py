@@ -1,8 +1,9 @@
 """Approximate-Hessian builders, sample-size rules, and the sandwich checker.
 
-Every builder returns a symmetric d x d surrogate H for the true Hessian,
-symmetrized as (M + M^T)/2 after assembly.  The quality certificate used
-throughout is the two-sided spectral sandwich
+Every builder returns an `ApproxHessian`: a symmetric surrogate H for the
+true Hessian, kept in the form it was built in so that `H.solve(g)` and
+`H.matvec(v)` cost what the form allows (see `ApproxHessian`).  The quality
+certificate used throughout is the two-sided spectral sandwich
 
     (1 - eps0) H <= hess F(x) <= (1 + eps0) H
 
@@ -30,17 +31,141 @@ REGULARIZED = "regularized_subsampled"
 NEWSAMP = "newsamp"
 
 
-@dataclass
-class ApproxHessian:
-    """A symmetric surrogate Hessian plus construction metadata."""
+def _symmetrized(M: np.ndarray) -> np.ndarray:
+    return 0.5 * (M + M.T)
 
-    matrix: np.ndarray
-    method: str
-    meta: dict
+
+def _cholesky(M: np.ndarray):
+    try:
+        return scipy.linalg.cho_factor(M)
+    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        raise NotPositiveDefinite("H is not positive definite") from exc
+
+
+class _Dense:
+    """H = M, factored by Cholesky on the first solve."""
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.d = M.shape[0]
+        self._factor = None
+
+    def matvec(self, v):
+        return self.M @ v
+
+    def solve(self, g):
+        if self._factor is None:
+            self._factor = _cholesky(self.M)
+        return scipy.linalg.cho_solve(self._factor, g)
+
+    def dense(self):
+        return self.M
+
+    def shifted(self, c):
+        return _Dense(self.M + c * np.eye(self.d))
+
+
+class _RootPlusShift:
+    """H = R^T R / k + c I for a root R with fewer rows than columns.
+
+    Solved with the Woodbury identity
+        H^{-1} g = (g - R^T (R R^T + k c I)^{-1} R g) / c,
+    which factors a rows x rows matrix once: O(rows^2 d) per build and
+    O(rows d) per solve.  A zero shift leaves H singular.
+    """
+
+    def __init__(self, R: np.ndarray, k: int, c: float):
+        self.R, self.k, self.c = R, k, c
+        self.d = R.shape[1]
+        self._factor = None
+
+    def matvec(self, v):
+        return self.R.T @ (self.R @ v) / self.k + self.c * v
+
+    def solve(self, g):
+        if self._factor is None:
+            if self.c <= 0.0:
+                raise NotPositiveDefinite(
+                    f"H has rank {self.R.shape[0]} < d={self.d} and no positive shift"
+                )
+            K = self.R @ self.R.T
+            K[np.diag_indices_from(K)] += self.k * self.c
+            self._factor = _cholesky(K)
+        inner = scipy.linalg.cho_solve(self._factor, self.R @ g)
+        return (g - self.R.T @ inner) / self.c
+
+    def dense(self):
+        return _symmetrized(self.R.T @ self.R / self.k + self.c * np.eye(self.d))
+
+    def shifted(self, c):
+        return _RootPlusShift(self.R, self.k, self.c + c)
+
+
+class _FlooredSpectrum:
+    """H = U diag(lam) U^T + floor (I - U U^T) for orthonormal columns U:
+    the top eigenpairs kept, every other eigenvalue lifted to `floor`.
+    Solved in closed form at O(r d)."""
+
+    def __init__(self, U: np.ndarray, lam: np.ndarray, floor: float):
+        self.U, self.lam, self.floor = U, lam, floor
+        self.d = U.shape[0]
+
+    def matvec(self, v):
+        Utv = self.U.T @ v
+        return self.U @ (self.lam * Utv) + self.floor * (v - self.U @ Utv)
+
+    def solve(self, g):
+        if self.floor <= 0.0:
+            raise NotPositiveDefinite(f"H has eigenvalue floor {self.floor:.3e}")
+        Utg = self.U.T @ g
+        return self.U @ (Utg / self.lam) + (g - self.U @ Utg) / self.floor
+
+    def dense(self):
+        U = self.U
+        tail = np.eye(self.d) - U @ U.T
+        return _symmetrized((U * self.lam) @ U.T + self.floor * tail)
+
+
+class ApproxHessian:
+    """A symmetric surrogate Hessian in its natural form, plus construction
+    metadata.
+
+    The forms are a dense d x d matrix (the exact Hessian, and sampled or
+    sketched surrogates whose root has at least d rows), a root plus a shift
+    `R^T R / k + c I` (roots of fewer than d rows), and a floored spectrum
+    (NewSamp).  `solve(g)` returns H^{-1} g and `matvec(v)` returns H v
+    without forming H; `matrix` is the dense view, built on first use.
+    """
+
+    def __init__(self, form, method: str, meta: dict):
+        self._form = form
+        self.method = method
+        self.meta = meta
+        self._matrix = None
+
+    @classmethod
+    def dense(cls, M: np.ndarray, method: str, meta: dict) -> ApproxHessian:
+        return cls(_Dense(M), method, meta)
 
     @property
     def d(self) -> int:
-        return self.matrix.shape[0]
+        return self._form.d
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = self._form.dense()
+        return self._matrix
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self._form.matvec(v)
+
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        return self._form.solve(g)
+
+    def shifted(self, c: float, method: str, meta: dict) -> ApproxHessian:
+        """The surrogate H + c I."""
+        return ApproxHessian(self._form.shifted(c), method, meta)
 
 
 @dataclass
@@ -57,8 +182,26 @@ class SandwichReport:
         return max(self.eps_lower, self.eps_upper)
 
 
-def _symmetrized(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+def _root_plus_shift(
+    R: np.ndarray, k: int, c: float, method: str, meta: dict
+) -> ApproxHessian:
+    """R^T R / k + c I: Woodbury form for a root of fewer than d rows, dense
+    otherwise, where forming and factoring the d x d matrix is cheaper."""
+    d = R.shape[1]
+    if R.shape[0] < d:
+        return ApproxHessian(_RootPlusShift(R, k, c), method, meta)
+    M = _symmetrized(R.T @ R / k + c * np.eye(d))
+    return ApproxHessian.dense(M, method, meta)
+
+
+def _regularizer_scale(obj: FiniteSumObjective) -> float:
+    """The c of an objective whose split-out regularizer Hessian is c I."""
+    reg = np.asarray(obj.regularizer_hessian(), dtype=float)
+    diag = np.diagonal(reg)
+    c = float(diag[0])
+    if not (np.all(diag == c) and np.count_nonzero(reg) == np.count_nonzero(diag)):
+        raise DomainError("surrogates need a regularizer Hessian that is c * I")
+    return c
 
 
 def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:
@@ -67,21 +210,31 @@ def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:
     if B.ndim != 2 or B.shape[0] != S.m:
         raise ShapeError(f"operator expects {S.m} rows, factor has shape {B.shape}")
     SB = apply_sketch(S, B)
-    M = _symmetrized(SB.T @ SB)
     meta = {"sketch_kind": S.kind, "size": S.s, "seed": S.seed}
-    return ApproxHessian(M, SKETCHED, meta)
+    return _root_plus_shift(SB, 1, 0.0, SKETCHED, meta)
 
 
-def _draw_pool(obj: FiniteSumObjective, x, size: int, seed: int, exhaustive: bool):
-    pool = obj.hessian_sample_pool(x)
+def _sampled_root(obj, x, size: int, seed: int, exhaustive: bool, pool):
+    """Root R, divisor k and shift c of the subsampled Hessian R^T R / k + c I,
+    with its metadata.  `pool` is `obj.hessian_sample_pool(x)` when the
+    caller already has it."""
+    c = _regularizer_scale(obj)
+    if pool is None:
+        pool = obj.hessian_sample_pool(x)
     if exhaustive:
-        return pool
-    if size < 1:
+        idx = pool
+    elif size < 1:
         raise ShapeError(f"sample size must be >= 1, got {size}")
-    if pool.size == 0:
-        return pool
-    gen = rng.generator(seed)
-    return pool[gen.integers(0, pool.size, size=size)]
+    elif pool.size == 0:
+        idx = pool
+    else:
+        idx = pool[rng.generator(seed).integers(0, pool.size, size=size)]
+    if idx.size:
+        R = obj.hessian_term_root(idx, x)
+    else:
+        R = np.zeros((0, obj.d))
+    meta = {"size": int(idx.size), "seed": seed, "exhaustive": exhaustive}
+    return R, max(idx.size, 1), c, meta
 
 
 def subsampled_hessian(
@@ -90,6 +243,7 @@ def subsampled_hessian(
     size: int,
     seed: int,
     exhaustive: bool = False,
+    pool: np.ndarray | None = None,
 ) -> ApproxHessian:
     """Mean of `size` per-sample loss Hessians (uniform, with replacement)
     plus the objective's split-out regularizer Hessian.
@@ -98,15 +252,8 @@ def subsampled_hessian(
     reproduces the full Hessian; this mode exists for testing only.
     """
     x = np.asarray(x, dtype=float)
-    idx = _draw_pool(obj, x, size, seed, exhaustive)
-    if idx.size:
-        root = obj.hessian_term_root(idx, x)
-        M = root.T @ root / idx.size
-    else:
-        M = np.zeros((obj.d, obj.d))
-    M = _symmetrized(M + obj.regularizer_hessian())
-    meta = {"size": int(idx.size), "seed": seed, "exhaustive": exhaustive}
-    return ApproxHessian(M, SUBSAMPLED, meta)
+    R, k, c, meta = _sampled_root(obj, x, size, seed, exhaustive, pool)
+    return _root_plus_shift(R, k, c, SUBSAMPLED, meta)
 
 
 def regularized_subsampled_hessian(
@@ -116,14 +263,13 @@ def regularized_subsampled_hessian(
     alpha: float,
     seed: int,
     exhaustive: bool = False,
+    pool: np.ndarray | None = None,
 ) -> ApproxHessian:
     """Subsampled Hessian plus alpha * I, so lambda_min >= alpha is guaranteed."""
     if alpha <= 0:
         raise DomainError(f"alpha must be positive, got {alpha}")
-    base = subsampled_hessian(obj, x, size, seed, exhaustive=exhaustive)
-    M = base.matrix + alpha * np.eye(obj.d)
-    meta = dict(base.meta, alpha=float(alpha))
-    return ApproxHessian(M, REGULARIZED, meta)
+    base = subsampled_hessian(obj, x, size, seed, exhaustive=exhaustive, pool=pool)
+    return base.shifted(alpha, REGULARIZED, dict(base.meta, alpha=float(alpha)))
 
 
 def newsamp_hessian(
@@ -133,23 +279,29 @@ def newsamp_hessian(
     r: int,
     seed: int,
     exhaustive: bool = False,
+    pool: np.ndarray | None = None,
 ) -> ApproxHessian:
     """Subsampled Hessian with its eigenvalue tail floored.
 
-    The subsampled matrix is eigendecomposed; every eigenvalue beyond the
-    r largest is replaced by the (r+1)-th largest, so the top-r curvature is
-    kept and the tail is lifted to a common floor.
+    Every eigenvalue of the subsampled matrix beyond the r largest is
+    replaced by the (r+1)-th largest, so the top-r curvature is kept and the
+    tail is lifted to a common floor.  The eigenpairs come from a thin SVD of
+    the sampled root, whose rows bound the rank: r must be below both d and
+    the number of rows, or the floor would be the bare regularizer.
     """
     if not 0 <= r < obj.d:
         raise DomainError(f"need 0 <= r < d={obj.d}, got r={r}")
-    base = subsampled_hessian(obj, x, size, seed, exhaustive=exhaustive)
-    w, V = np.linalg.eigh(base.matrix)  # ascending
-    floor = w[obj.d - r - 1]  # (r+1)-th largest
-    w_new = w.copy()
-    w_new[: obj.d - r] = floor
-    M = _symmetrized((V * w_new) @ V.T)
-    meta = dict(base.meta, rank=int(r), eigenvalue_floor=float(floor))
-    return ApproxHessian(M, NEWSAMP, meta)
+    x = np.asarray(x, dtype=float)
+    R, k, c, meta = _sampled_root(obj, x, size, seed, exhaustive, pool)
+    if r >= R.shape[0]:
+        raise DomainError(
+            f"rank r={r} needs a sampled root of more than r rows, got {R.shape[0]}"
+        )
+    _, sv, Vt = np.linalg.svd(R, full_matrices=False)
+    lam = sv**2 / k + c  # descending
+    floor = float(lam[r])
+    meta = dict(meta, rank=int(r), eigenvalue_floor=floor)
+    return ApproxHessian(_FlooredSpectrum(Vt[:r].T, lam[:r], floor), NEWSAMP, meta)
 
 
 def subsampled_gradient(

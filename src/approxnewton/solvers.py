@@ -3,8 +3,8 @@
 The driver iterates x <- x - p with unit step, where p approximately solves
 H p = g for the configured Hessian surrogate H and (full or subsampled)
 gradient g.  The inner solve must reach the relative residual
-||g - H p|| <= (eps1 / kappa) ||g||; the exact mode uses a Cholesky
-factorization with iterative refinement, the cg mode runs conjugate
+||g - H p|| <= (eps1 / kappa) ||g||; the exact mode uses the surrogate's
+own solve with iterative refinement, the cg mode runs conjugate
 gradients until the target (capped at 10 d iterations, stalls are reported
 in the trace rather than raised).
 
@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import rng
 from .errors import DomainError, NotPositiveDefinite, ShapeError
@@ -31,6 +30,7 @@ from .hessian_approx import (
     SUBSAMPLED,
     ApproxHessian,
     newsamp_hessian,
+    regularized_subsampled_hessian,
     sketched_hessian,
     subsampled_gradient,
     subsampled_hessian,
@@ -188,38 +188,40 @@ def solve_inner(
 ) -> InnerSolveResult:
     """Approximately minimize 0.5 p^T H p - p^T g.
 
-    Exact mode factorizes H (Cholesky + iterative refinement).  CG mode
-    iterates until ||g - H p|| <= (eps1 / kappa) ||g|| with a floor of
-    1e-12 ||g||, capped at 10 d iterations; if the cap is hit the best
-    iterate is returned with `stalled` set instead of raising.
+    Exact mode calls `H.solve` (the surrogate's own factorization) plus two
+    passes of iterative refinement with residuals from `H.matvec`.  CG mode
+    needs only `H.matvec`; it iterates until ||g - H p|| <= (eps1 / kappa)
+    ||g|| with a floor of 1e-12 ||g||, capped at 10 d iterations; if the cap
+    is hit the best iterate is returned with `stalled` set instead of
+    raising.  A plain matrix is taken as a dense surrogate.
     """
     if kappa < 1.0:
         raise DomainError(f"kappa must be >= 1, got {kappa}")
-    M = H.matrix if isinstance(H, ApproxHessian) else np.asarray(H, dtype=float)
+    if not isinstance(H, ApproxHessian):
+        M = np.asarray(H, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ShapeError(f"H has shape {M.shape}, need a square matrix")
+        H = ApproxHessian.dense(M, "matrix", {})
     g = np.asarray(g, dtype=float)
-    if M.shape[0] != M.shape[1] or M.shape[0] != g.shape[0]:
-        raise ShapeError(f"H has shape {M.shape}, g has shape {g.shape}")
+    if H.d != g.shape[0]:
+        raise ShapeError(f"H has dimension {H.d}, g has shape {g.shape}")
     gnorm = float(np.linalg.norm(g))
     if gnorm == 0.0:
         return InnerSolveResult(np.zeros_like(g), 0.0, 0, False)
 
     if mode == INNER_EXACT:
-        try:
-            factor = scipy.linalg.cho_factor(M)
-        except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-            raise NotPositiveDefinite("H is not positive definite") from exc
-        p = scipy.linalg.cho_solve(factor, g)
+        p = H.solve(g)
         for _ in range(_REFINEMENT_PASSES):
-            resid = g - M @ p
-            p = p + scipy.linalg.cho_solve(factor, resid)
-        rel = float(np.linalg.norm(g - M @ p)) / gnorm
+            resid = g - H.matvec(p)
+            p = p + H.solve(resid)
+        rel = float(np.linalg.norm(g - H.matvec(p))) / gnorm
         return InnerSolveResult(p, rel, 1, False)
 
     if mode != INNER_CG:
         raise DomainError(f"unknown inner mode {mode!r}")
 
     target = max(eps1 / kappa, _CG_FLOOR) * gnorm
-    cap = 10 * M.shape[0]
+    cap = 10 * H.d
     p = np.zeros_like(g)
     r = g.copy()
     q = r.copy()
@@ -227,7 +229,7 @@ def solve_inner(
     best_p, best_res = p.copy(), math.sqrt(rs)
     iterations = 0
     while math.sqrt(rs) > target and iterations < cap:
-        Hq = M @ q
+        Hq = H.matvec(q)
         curvature = float(q @ Hq)
         if curvature <= 0.0:
             raise NotPositiveDefinite("CG met non-positive curvature")
@@ -240,14 +242,13 @@ def solve_inner(
             best_p, best_res = p.copy(), math.sqrt(rs_new)
         q = r + (rs_new / rs) * q
         rs = rs_new
-    rel = float(np.linalg.norm(g - M @ best_p)) / gnorm
+    rel = float(np.linalg.norm(g - H.matvec(best_p))) / gnorm
     stalled = rel * gnorm > target * (1.0 + 1e-12)
     return InnerSolveResult(best_p, rel, iterations, stalled)
 
 
-def _resolve_sample_size(cfg: SolverConfig, obj, x) -> int:
+def _resolve_sample_size(cfg: SolverConfig, pool: np.ndarray) -> int:
     if cfg.sample_fraction is not None:
-        pool = obj.hessian_sample_pool(x)
         return max(1, int(math.ceil(cfg.sample_fraction * pool.size)))
     if cfg.sample_size is None:
         raise DomainError("sample_size or sample_fraction required for this method")
@@ -258,7 +259,7 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int, eps0_t: float) -> ApproxHe
     seed_t = rng.child_seed(cfg.seed, 1, t)
     method = cfg.hessian_method
     if method == EXACT:
-        return ApproxHessian(obj.full_hessian(x), EXACT, {"t": t})
+        return ApproxHessian.dense(obj.full_hessian(x), EXACT, {"t": t})
     if method == SKETCHED:
         B = obj.hessian_factor(x)
         if B is None:
@@ -280,19 +281,20 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int, eps0_t: float) -> ApproxHe
         H = sketched_hessian(B, S)
         H.meta["eps0_target"] = eps0_t
         return H
-    size = _resolve_sample_size(cfg, obj, x)
+    if method == REGULARIZED and cfg.alpha == 0.0:
+        method = SUBSAMPLED  # alpha = 0 is the plain subsampled surrogate
+    pool = obj.hessian_sample_pool(x)
+    size = _resolve_sample_size(cfg, pool)
     if method == SUBSAMPLED:
-        return subsampled_hessian(obj, x, size, seed_t)
+        return subsampled_hessian(obj, x, size, seed_t, pool=pool)
     if method == REGULARIZED:
-        base = subsampled_hessian(obj, x, size, seed_t)
-        if cfg.alpha == 0.0:  # reduces exactly to the plain subsampled path
-            return base
-        M = base.matrix + cfg.alpha * np.eye(obj.d)
-        return ApproxHessian(M, REGULARIZED, dict(base.meta, alpha=cfg.alpha))
+        return regularized_subsampled_hessian(
+            obj, x, size, cfg.alpha, seed_t, pool=pool
+        )
     if method == NEWSAMP:
         if cfg.rank is None:
             raise DomainError("rank required for the newsamp method")
-        return newsamp_hessian(obj, x, size, cfg.rank, seed_t)
+        return newsamp_hessian(obj, x, size, cfg.rank, seed_t, pool=pool)
     raise DomainError(f"unknown hessian method {method!r}")
 
 

@@ -241,6 +241,30 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize(
+        "problem, cell",
+        [
+            ({"kind": "embedding", "d": 4, "m": 80}, {"kind": "gaussian"}),
+            ({"kind": "embedding", "dd": 6, "m": 80}, {"sketch_kind": "gaussian"}),
+        ],
+    )
+    def test_embedding_config_with_unknown_keys_is_config_error(
+        self, tmp_path, capsys, problem, cell
+    ):
+        path = tmp_path / "emb.yaml"
+        path.write_text(yaml.safe_dump({
+            "experiment": "embedding_check",
+            "problem": problem,
+            "grid": [cell],
+            "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "embedding_rates.csv").exists()
+
     def test_plot_subcommand(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, seeds=(0,))
         run_experiment(cfg)

@@ -3,6 +3,7 @@ import pytest
 
 from approxnewton import (
     DomainError,
+    LeastSquaresObjective,
     NotPositiveDefinite,
     ShapeError,
     check_spectral_sandwich,
@@ -99,6 +100,18 @@ class TestSubsampledHessian:
     def test_zero_size_rejected(self, ls_tiny):
         with pytest.raises(ShapeError):
             subsampled_hessian(ls_tiny, np.zeros(4), size=0, seed=0)
+
+    def test_regularizer_must_be_multiple_of_identity(self):
+        gen = np.random.Generator(np.random.Philox(key=12))
+
+        class DiagonalRidge(LeastSquaresObjective):
+            def regularizer_hessian(self):
+                return np.diag([1.0, 2.0, 1.0, 1.0])
+
+        obj = DiagonalRidge(gen.standard_normal((30, 4)), gen.standard_normal(30))
+        for size in (2, 8):  # both sides of d
+            with pytest.raises(DomainError):
+                subsampled_hessian(obj, np.zeros(4), size=size, seed=0)
 
     def test_deterministic(self, ls_tiny):
         a = subsampled_hessian(ls_tiny, np.zeros(4), size=6, seed=9).matrix
@@ -207,6 +220,15 @@ class TestNewsampHessian:
     def test_rank_out_of_range(self, ls_tiny):
         with pytest.raises(DomainError):
             newsamp_hessian(ls_tiny, np.zeros(4), size=5, r=4, seed=0)
+
+    def test_rank_at_sample_rows_rejected(self, ls_tiny):
+        # a root of s <= r rows leaves the bare regularizer as the (r+1)-th
+        # eigenvalue: exactly 0 for least squares, not a usable floor
+        for size, r in ((2, 2), (2, 3), (1, 1)):
+            with pytest.raises(DomainError):
+                newsamp_hessian(ls_tiny, np.zeros(4), size=size, r=r, seed=0)
+        H = newsamp_hessian(ls_tiny, np.zeros(4), size=3, r=2, seed=0)
+        assert H.meta["eigenvalue_floor"] > 0.0
 
 
 class TestSubsampledGradient:

@@ -1,4 +1,6 @@
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -98,6 +100,39 @@ class TestSvmHinge2:
         A = svm_tiny._A
         expected = np.eye(svm_tiny.d) + (svm_tiny.C / svm_tiny.n) * (A.T @ A)
         np.testing.assert_allclose(svm_tiny.full_hessian(x), expected)
+
+    def test_term_root_scaled_by_its_own_pool_across_threads(self, svm_mid):
+        # each thread hands out pools at its own x; a root must use the
+        # support-set size at its x, also right after another x's pool
+        gen = np.random.Generator(np.random.Philox(key=7))
+        xs = [k * gen.standard_normal(svm_mid.d) for k in range(4)]
+        sizes = [svm_mid.support_indices(x).size for x in xs]
+        assert len(set(sizes)) > 1
+        idx = np.arange(5)
+
+        def expected(k):
+            return np.sqrt(svm_mid.C * sizes[k] / svm_mid.n) * svm_mid._A[idx]
+
+        def work(k):
+            for _ in range(20):
+                svm_mid.hessian_sample_pool(xs[k])
+                np.testing.assert_array_equal(
+                    svm_mid.hessian_term_root(idx, xs[k]), expected(k)
+                )
+                other = (k + 1) % len(xs)
+                np.testing.assert_array_equal(
+                    svm_mid.hessian_term_root(idx, xs[other]), expected(other)
+                )
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(work, k) for k in range(len(xs))]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_gradient_matches_finite_differences_off_kink(self, svm_tiny):
         gen = np.random.Generator(np.random.Philox(key=6))
