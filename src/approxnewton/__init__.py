@@ -9,7 +9,6 @@ measurement, and a config-driven experiment harness.
 from .errors import (
     ApproxNewtonError,
     DomainError,
-    InnerSolveStall,
     InsufficientData,
     LabelDomain,
     NotPositiveDefinite,

@@ -37,10 +37,6 @@ class NotPositiveDefinite(ApproxNewtonError):
     """A matrix that must be symmetric positive definite is not."""
 
 
-class InnerSolveStall(ApproxNewtonError):
-    """Conjugate gradient hit its iteration cap before reaching tolerance."""
-
-
 class ReferenceNotConverged(ApproxNewtonError):
     """Exact Newton failed to reach the reference tolerance for x*."""
 

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 import yaml
 
 from . import metrics, rng, sketch, solvers
@@ -64,6 +66,15 @@ SUMMARY_COLUMNS = (
 )
 EMBEDDING_COLUMNS = ("kind", "seed", "achieved_eps", "holds")
 
+# every key `_solver_config` and `run_cell` read from a grid cell
+CELL_KEYS = frozenset({
+    "label", "method", "warm_start_steps", "sketch_kind", "sketch_size",
+    "sample_size", "sample_fraction", "alpha", "rank", "eps0", "eps0_schedule",
+    "gradient_mode", "gradient_sample_size", "inner", "eps1", "max_iters",
+    "grad_tol", "divergence_guard", "store_snapshots",
+})
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 @dataclass
 class ExperimentConfig:
@@ -98,6 +109,7 @@ class RunOutcome:
     rho: float | None
     trace: solvers.IterationTrace | None
     wall_ms: list[float] = field(default_factory=list)
+    error: str | None = None  # "<Type>: <message>" of an errored run
 
 
 def _fmt(x) -> str:
@@ -221,7 +233,7 @@ def run_cell(
             trace=trace,
             wall_ms=list(trace.wall_ms),
         )
-    except ApproxNewtonError as exc:
+    except (ApproxNewtonError, np.linalg.LinAlgError) as exc:
         return RunOutcome(
             tag=tag,
             label=label,
@@ -232,6 +244,7 @@ def run_cell(
             rate_class="",
             rho=None,
             trace=None,
+            error=f"{type(exc).__name__}: {exc}".replace("\n", " "),
         )
 
 
@@ -267,6 +280,13 @@ def _check_embedding_config(cfg: ExperimentConfig) -> None:
             raise DomainError(f"unknown embedding cell keys: {sorted(unknown)}")
         if "sketch_kind" not in cell:
             raise DomainError(f"embedding cell {cell} has no sketch_kind")
+
+
+def _check_cell_keys(cfg: ExperimentConfig) -> None:
+    for cell in cfg.grid:
+        unknown = set(cell) - CELL_KEYS
+        if unknown:
+            raise DomainError(f"unknown cell keys: {sorted(unknown)}")
 
 
 def _run_embedding_check(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -307,9 +327,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     started = time.time()
     if cfg.experiment == EMBEDDING_CHECK:
         code = _run_embedding_check(cfg, out_dir)
-        _write_metadata(out_dir, cfg, started, [])
+        _write_metadata(out_dir, cfg, started, 1, [])
         return code
 
+    _check_cell_keys(cfg)
     obj = build_objective(cfg.problem)
     ref = metrics.compute_mstar_reference(obj, np.zeros(obj.d))
 
@@ -356,19 +377,30 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         ("series_label", "t", "residual_mstar"),
         plot_rows,
     )
-    _write_metadata(out_dir, cfg, started, outcomes)
+    _write_metadata(out_dir, cfg, started, workers, outcomes)
     failed = any(o.status.startswith("error:") for o in outcomes)
     return 2 if failed else 0
 
 
-def _write_metadata(out_dir, cfg, started, outcomes) -> None:
-    # Everything time-dependent lives here, outside the deterministic CSVs.
+def _write_metadata(out_dir, cfg, started, workers, outcomes) -> None:
+    # Everything time- or machine-dependent lives here, outside the
+    # deterministic CSVs.
     with open(os.path.join(out_dir, "metadata.txt"), "w") as fh:
         fh.write(f"experiment: {cfg.experiment}\n")
         fh.write(f"started_unix: {started:.3f}\n")
         fh.write(f"elapsed_s: {time.time() - started:.3f}\n")
+        fh.write(f"python: {sys.version.split()[0]}\n")
+        fh.write(f"numpy: {np.__version__}\n")
+        fh.write(f"scipy: {scipy.__version__}\n")
+        for var in BLAS_THREAD_VARS:
+            if var in os.environ:
+                fh.write(f"{var}: {os.environ[var]}\n")
+        fh.write(f"workers: {workers}\n")
         for o in outcomes:
             fh.write(f"run {o.tag}: total_wall_ms={sum(o.wall_ms):.3f}\n")
+        for o in outcomes:
+            if o.error is not None:
+                fh.write(f"error {o.tag}: {o.error}\n")
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:

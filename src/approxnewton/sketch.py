@@ -130,12 +130,27 @@ def leverage_scores(A: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", U, U) / A.shape[1]
 
 
-def make_leverage_sketch(A: np.ndarray, s: int, seed: int) -> SketchOperator:
-    """Row-sampling operator with probabilities equal to the leverage scores of A."""
+def triangular_factor(B: np.ndarray) -> np.ndarray:
+    """R of a QR decomposition of B: min(m, d) x d, with R^T R = B^T B."""
+    return np.linalg.qr(np.asarray(B, dtype=float), mode="r")
+
+
+def make_leverage_sketch(
+    A: np.ndarray, s: int, seed: int, scores: np.ndarray | None = None
+) -> SketchOperator:
+    """Row-sampling operator with probabilities equal to the leverage scores of A.
+
+    `scores` is `leverage_scores(A)` when the caller already has them.
+    """
     if s < 1:
         raise ShapeError(f"need s >= 1, got {s}")
     A = np.asarray(A, dtype=float)
-    probs = leverage_scores(A)
+    if scores is None:
+        probs = leverage_scores(A)
+    else:
+        probs = np.asarray(scores, dtype=float)
+        if probs.shape != (A.shape[0],):
+            raise ShapeError(f"need {A.shape[0]} leverage scores, got {probs.shape}")
     probs = probs / probs.sum()  # exact normalization against rounding
     gen = rng.generator(seed)
     indices = gen.choice(A.shape[0], size=s, replace=True, p=probs)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
+from . import rng, sketch
 from .errors import DomainError, NotPositiveDefinite, ShapeError
 from .hessian_approx import (
     EXACT,
@@ -37,6 +37,7 @@ from .hessian_approx import (
 )
 from .problems import FiniteSumObjective
 from .sketch import (
+    GAUSSIAN,
     LEVERAGE_SCORE,
     make_leverage_sketch,
     make_oblivious_sketch,
@@ -255,7 +256,35 @@ def _resolve_sample_size(cfg: SolverConfig, pool: np.ndarray) -> int:
     return cfg.sample_size
 
 
-def _build_hessian(obj, x, cfg: SolverConfig, t: int, eps0_t: float) -> ApproxHessian:
+class _FactorMemo:
+    """Decompositions of the last Hessian factor of a run, each computed on
+    first use.  The memo holds the factor itself, so an identity test tells
+    whether `obj.hessian_factor(x)` returned the same matrix; a different
+    object clears it."""
+
+    def __init__(self):
+        self.factor = None
+        self._scores = None
+        self._triangular = None
+
+    def bind(self, B: np.ndarray) -> None:
+        if B is not self.factor:
+            self.factor, self._scores, self._triangular = B, None, None
+
+    def leverage_scores(self) -> np.ndarray:
+        if self._scores is None:
+            self._scores = sketch.leverage_scores(self.factor)
+        return self._scores
+
+    def triangular(self) -> np.ndarray:
+        if self._triangular is None:
+            self._triangular = sketch.triangular_factor(self.factor)
+        return self._triangular
+
+
+def _build_hessian(
+    obj, x, cfg: SolverConfig, t: int, eps0_t: float, memo: _FactorMemo
+) -> ApproxHessian:
     seed_t = rng.child_seed(cfg.seed, 1, t)
     method = cfg.hessian_method
     if method == EXACT:
@@ -274,8 +303,14 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int, eps0_t: float) -> ApproxHe
                 size = tracking_sketch_size(cfg.sketch_kind, obj.d, eps0_t)
             else:
                 size = recommended_sketch_size(cfg.sketch_kind, obj.d, eps0_t)
+        memo.bind(B)
         if cfg.sketch_kind == LEVERAGE_SCORE:
-            S = make_leverage_sketch(B, size, seed_t)
+            S = make_leverage_sketch(B, size, seed_t, scores=memo.leverage_scores())
+        elif cfg.sketch_kind == GAUSSIAN:
+            # B = Q R and S Q is again i.i.d. N(0, 1/s) (rotation invariance),
+            # so S R has the law of S B and (S R)^T S R that of (S B)^T S B.
+            B = memo.triangular()
+            S = make_oblivious_sketch(GAUSSIAN, size, B.shape[0], seed_t)
         else:
             S = make_oblivious_sketch(cfg.sketch_kind, size, B.shape[0], seed_t)
         H = sketched_hessian(B, S)
@@ -312,6 +347,7 @@ def approximate_newton_run(
         raise DomainError("x0 must be finite")
     kappa = condition_bound(obj, x, cfg.kappa_source, seed=cfg.seed)
     trace = IterationTrace()
+    memo = _FactorMemo()
     while True:
         g_full = obj.gradient(x)
         gnorm = float(np.linalg.norm(g_full))
@@ -338,7 +374,7 @@ def approximate_newton_run(
             eps0_t = superlinear_schedule(t)
         else:
             eps0_t = cfg.eps0
-        H = _build_hessian(obj, x, cfg, t, eps0_t)
+        H = _build_hessian(obj, x, cfg, t, eps0_t, memo)
         if cfg.gradient_mode == GRADIENT_SUBSAMPLED:
             if cfg.gradient_sample_size is None:
                 raise DomainError("gradient_sample_size required")

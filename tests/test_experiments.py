@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import yaml
 
-from approxnewton import DomainError
+from approxnewton import DomainError, LeastSquaresObjective
 from approxnewton.cli import main
 from approxnewton.experiments import (
+    CELL_KEYS,
     EMBEDDING_CHECK,
+    EXPERIMENTS,
     SUMMARY_COLUMNS,
     ExperimentConfig,
     build_objective,
@@ -101,6 +103,63 @@ class TestRunExperiment:
         assert read(tmp_path / "serial/summary.csv") == read(
             tmp_path / "parallel/summary.csv"
         )
+
+    def test_linalg_error_in_one_cell_recorded_other_cell_finishes(
+        self, tmp_path, monkeypatch
+    ):
+        def nan_factor(self, x):
+            return np.full((self.n, self.d), np.nan)
+
+        monkeypatch.setattr(LeastSquaresObjective, "hessian_factor", nan_factor)
+        cfg = tiny_config(tmp_path, seeds=(0,))
+        cfg.grid = [
+            {"label": "lev", "method": "sketched",
+             "sketch_kind": "leverage_score", "sketch_size": 20},
+            {"label": "newton", "method": "exact"},
+        ]
+        assert run_experiment(cfg) == 2
+        rows = read(tmp_path / "summary.csv").strip().splitlines()[1:]
+        status = {row.split(",")[0]: row.split(",")[2] for row in rows}
+        assert status == {"lev_s0": "error:LinAlgError", "newton_s0": "converged"}
+        assert (tmp_path / "trace_newton_s0.csv").exists()
+        metadata = read(tmp_path / "metadata.txt").splitlines()
+        errors = [line for line in metadata if line.startswith("error ")]
+        assert errors == ["error lev_s0: LinAlgError: SVD did not converge"]
+
+    def test_metadata_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        run_experiment(tiny_config(tmp_path))
+        metadata = read(tmp_path / "metadata.txt").splitlines()
+        for prefix in ("python: ", f"numpy: {np.__version__}", "scipy: ",
+                       "OPENBLAS_NUM_THREADS: 1", "workers: 1"):
+            assert any(line.startswith(prefix) for line in metadata), prefix
+        assert not any(line.startswith("OMP_NUM_THREADS") for line in metadata)
+        assert not any(line.startswith("error ") for line in metadata)
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            {"label": "reg", "method": "regularized_subsampled",
+             "sample_szie": 20, "alpha": 0.05},
+            {"label": "newton", "methdo": "exact"},
+        ],
+    )
+    def test_misspelled_cell_key_rejected(self, tmp_path, cell):
+        cfg = tiny_config(tmp_path)
+        cfg.grid = [cell]
+        with pytest.raises(DomainError, match="unknown cell keys"):
+            run_experiment(cfg)
+        assert not (tmp_path / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "experiment", [e for e in EXPERIMENTS if e not in (EMBEDDING_CHECK, "custom")]
+    )
+    def test_builtin_grids_use_known_cell_keys(self, tmp_path, experiment):
+        for full_scale in (False, True):
+            cfg = default_config(experiment, str(tmp_path), full_scale=full_scale)
+            for cell in cfg.grid:
+                assert set(cell) <= CELL_KEYS, cell
 
 
 class TestPlotData:
@@ -264,6 +323,23 @@ class TestCli:
         assert err.startswith("config error: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "embedding_rates.csv").exists()
+
+    def test_misspelled_cell_key_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({
+            "experiment": "custom",
+            "problem": {"kind": "synthetic", "n": 40, "d": 4, "decay": 1.5,
+                        "seed": 3},
+            "grid": [{"label": "reg", "method": "regularized_subsampled",
+                      "sample_szie": 20, "alpha": 0.05}],
+            "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "sample_szie" in err
+        assert err.count("\n") == 1
 
     def test_plot_subcommand(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, seeds=(0,))
