@@ -1,9 +1,10 @@
 """Approximate Newton methods with randomized Hessian surrogates.
 
 Sketched, subsampled, regularized-subsampled and tail-floored subsampled
-Newton variants behind one driver loop, plus the spectral certificates
-(subspace embedding, two-sided sandwich), reference-norm convergence-rate
-measurement, and a config-driven experiment harness.
+Newton variants, full Newton, Newton-CG and gradient descent behind one
+driver loop, plus the spectral certificates (subspace embedding, two-sided
+sandwich), reference-norm convergence-rate measurement, and a config-driven
+experiment harness.
 """
 
 from .errors import (
@@ -25,6 +26,7 @@ from .hessian_approx import (
     check_spectral_sandwich,
     epsilon0_newsamp,
     epsilon0_regularized,
+    gradient_descent_hessian,
     newsamp_hessian,
     regularized_subsampled_hessian,
     sketched_hessian,
@@ -66,7 +68,6 @@ from .solvers import (
     IterationTrace,
     SolverConfig,
     approximate_newton_run,
-    baseline_run,
     solve_inner,
     superlinear_schedule,
 )

@@ -73,6 +73,8 @@ CELL_KEYS = frozenset({
     "gradient_mode", "gradient_sample_size", "inner", "eps1", "max_iters",
     "grad_tol", "divergence_guard", "store_snapshots",
 })
+# cell methods that name an exact-Hessian preset, with the inner solve each fixes
+PRESETS = {"full_newton": solvers.INNER_EXACT, "newton_cg": solvers.INNER_CG}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -159,8 +161,12 @@ def build_objective(problem: dict) -> FiniteSumObjective:
 
 
 def _solver_config(cell: dict, cfg: ExperimentConfig, seed: int) -> solvers.SolverConfig:
+    method = cell.get("method", "exact")
+    inner = cell.get("inner", solvers.INNER_EXACT)
+    if method in PRESETS:
+        method, inner = "exact", PRESETS[method]
     return solvers.SolverConfig(
-        hessian_method=cell.get("method", "exact"),
+        hessian_method=method,
         sketch_kind=cell.get("sketch_kind"),
         sketch_size=cell.get("sketch_size"),
         sample_size=cell.get("sample_size"),
@@ -171,7 +177,7 @@ def _solver_config(cell: dict, cfg: ExperimentConfig, seed: int) -> solvers.Solv
         eps0_schedule=cell.get("eps0_schedule", solvers.SCHEDULE_CONSTANT),
         gradient_mode=cell.get("gradient_mode", solvers.GRADIENT_FULL),
         gradient_sample_size=cell.get("gradient_sample_size"),
-        inner=cell.get("inner", solvers.INNER_EXACT),
+        inner=inner,
         eps1=cell.get("eps1", 0.0),
         max_iters=cell.get("max_iters", cfg.max_iters),
         grad_tol=cell.get("grad_tol", cfg.grad_tol),
@@ -195,26 +201,11 @@ def run_cell(
         x0 = np.zeros(obj.d)
         warm = cell.get("warm_start_steps", 0)
         if warm:
-            warm_trace = solvers.baseline_run(
-                obj, "full_newton", x0, max_iters=warm, grad_tol=1e-300,
-                store_snapshots=False,
+            warm_cfg = solvers.SolverConfig(
+                max_iters=warm, grad_tol=1e-300, store_snapshots=False
             )
-            x0 = warm_trace.x_final
-        method = cell.get("method", "exact")
-        if method in ("gradient_descent", "newton_cg", "full_newton"):
-            trace = solvers.baseline_run(
-                obj,
-                method,
-                x0,
-                max_iters=cell.get("max_iters", cfg.max_iters),
-                grad_tol=cell.get("grad_tol", cfg.grad_tol),
-                eps1=cell.get("eps1", 0.0),
-                seed=seed,
-                store_snapshots=cell.get("store_snapshots", False),
-            )
-        else:
-            run_cfg = _solver_config(cell, cfg, seed)
-            trace = solvers.approximate_newton_run(obj, run_cfg, x0)
+            x0 = solvers.approximate_newton_run(obj, warm_cfg, x0).x_final
+        trace = solvers.approximate_newton_run(obj, _solver_config(cell, cfg, seed), x0)
         metrics.fill_mstar_norms(trace, ref)
         try:
             report = metrics.classify_rate(trace, ref)
@@ -287,6 +278,8 @@ def _check_cell_keys(cfg: ExperimentConfig) -> None:
         unknown = set(cell) - CELL_KEYS
         if unknown:
             raise DomainError(f"unknown cell keys: {sorted(unknown)}")
+        if cell.get("method") in PRESETS and "inner" in cell:
+            raise DomainError(f"method {cell['method']} fixes the inner solve: {cell}")
 
 
 def _run_embedding_check(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -508,7 +501,8 @@ def default_config(
                     )
         else:
             for size in sizes[::2]:
-                for rank in (2, 20):
+                # NewSamp needs a sampled root of more rows than its rank
+                for rank in (r for r in (2, 20) if r < size):
                     grid.append(
                         {
                             "label": f"S{size}-r{rank}",

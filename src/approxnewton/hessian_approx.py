@@ -29,6 +29,7 @@ SKETCHED = "sketched"
 SUBSAMPLED = "subsampled"
 REGULARIZED = "regularized_subsampled"
 NEWSAMP = "newsamp"
+GRADIENT_DESCENT = "gradient_descent"
 
 
 def _symmetrized(M: np.ndarray) -> np.ndarray:
@@ -133,8 +134,9 @@ class ApproxHessian:
     The forms are a dense d x d matrix (the exact Hessian, and sampled or
     sketched surrogates whose root has at least d rows), a root plus a shift
     `R^T R / k + c I` (roots of fewer than d rows), and a floored spectrum
-    (NewSamp).  `solve(g)` returns H^{-1} g and `matvec(v)` returns H v
-    without forming H; `matrix` is the dense view, built on first use.
+    (NewSamp, and `L I` for gradient descent).  `solve(g)` returns H^{-1} g
+    and `matvec(v)` returns H v without forming H; `matrix` is the dense
+    view, built on first use.
     """
 
     def __init__(self, form, method: str, meta: dict):
@@ -194,16 +196,6 @@ def _root_plus_shift(
     return ApproxHessian.dense(M, method, meta)
 
 
-def _regularizer_scale(obj: FiniteSumObjective) -> float:
-    """The c of an objective whose split-out regularizer Hessian is c I."""
-    reg = np.asarray(obj.regularizer_hessian(), dtype=float)
-    diag = np.diagonal(reg)
-    c = float(diag[0])
-    if not (np.all(diag == c) and np.count_nonzero(reg) == np.count_nonzero(diag)):
-        raise DomainError("surrogates need a regularizer Hessian that is c * I")
-    return c
-
-
 def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:
     """H = (S B)^T (S B) for a Hessian factor B with B^T B = hess F."""
     B = np.asarray(B, dtype=float)
@@ -218,7 +210,7 @@ def _sampled_root(obj, x, size: int, seed: int, exhaustive: bool, pool):
     """Root R, divisor k and shift c of the subsampled Hessian R^T R / k + c I,
     with its metadata.  `pool` is `obj.hessian_sample_pool(x)` when the
     caller already has it."""
-    c = _regularizer_scale(obj)
+    c = float(obj.regularizer_scale)
     if pool is None:
         pool = obj.hessian_sample_pool(x)
     if exhaustive:
@@ -246,7 +238,7 @@ def subsampled_hessian(
     pool: np.ndarray | None = None,
 ) -> ApproxHessian:
     """Mean of `size` per-sample loss Hessians (uniform, with replacement)
-    plus the objective's split-out regularizer Hessian.
+    plus the objective's split-out regularizer Hessian `regularizer_scale * I`.
 
     With exhaustive=True every pool index is used exactly once, which
     reproduces the full Hessian; this mode exists for testing only.
@@ -302,6 +294,14 @@ def newsamp_hessian(
     floor = float(lam[r])
     meta = dict(meta, rank=int(r), eigenvalue_floor=floor)
     return ApproxHessian(_FlooredSpectrum(Vt[:r].T, lam[:r], floor), NEWSAMP, meta)
+
+
+def gradient_descent_hessian(obj: FiniteSumObjective) -> ApproxHessian:
+    """H = L I for the objective's curvature bound L: a floored spectrum with
+    no kept pairs, so the unit step -H^{-1} g is the gradient step -g / L."""
+    L = float(obj.L)
+    form = _FlooredSpectrum(np.zeros((obj.d, 0)), np.zeros(0), L)
+    return ApproxHessian(form, GRADIENT_DESCENT, {"eigenvalue_floor": L})
 
 
 def subsampled_gradient(

@@ -95,8 +95,7 @@ class FiniteSumObjective:
         raise NotImplementedError
 
     # -- split-out regularizer ----------------------------------------------
-    def regularizer_hessian(self) -> np.ndarray:
-        return np.zeros((self.d, self.d))
+    regularizer_scale: float = 0.0  # the regularizer Hessian is this times I
 
     def regularizer_gradient(self, x: np.ndarray) -> np.ndarray:
         return np.zeros(self.d)
@@ -264,8 +263,7 @@ class SvmHinge2Objective(FiniteSumObjective):
         slack = max(0.0, 1.0 - self._margins(x)[i])
         return -self.C * slack * self._b[i] * self._A[i]
 
-    def regularizer_hessian(self):
-        return np.eye(self.d)
+    regularizer_scale = 1.0  # the ridge term 0.5 * ||x||^2
 
     def regularizer_gradient(self, x):
         return self._check_x(x).copy()

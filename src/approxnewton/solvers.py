@@ -8,6 +8,11 @@ own solve with iterative refinement, the cg mode runs conjugate
 gradients until the target (capped at 10 d iterations, stalls are reported
 in the trace rather than raised).
 
+The reference methods are configurations of the same loop: the default
+`SolverConfig()` is full Newton (exact Hessian, exact inner solve),
+`inner="cg"` on the exact Hessian is Newton-CG, and gradient descent with
+step 1/L is the surrogate `H = L I` (`hessian_method="gradient_descent"`).
+
 Randomness is drawn from per-iteration child seeds of the run seed, so a
 run is bit-reproducible and iterations are independent.
 """
@@ -24,11 +29,13 @@ from . import rng, sketch
 from .errors import DomainError, NotPositiveDefinite, ShapeError
 from .hessian_approx import (
     EXACT,
+    GRADIENT_DESCENT,
     NEWSAMP,
     REGULARIZED,
     SKETCHED,
     SUBSAMPLED,
     ApproxHessian,
+    gradient_descent_hessian,
     newsamp_hessian,
     regularized_subsampled_hessian,
     sketched_hessian,
@@ -70,7 +77,8 @@ class SolverConfig:
     alpha/rank fields parameterize it.  `sample_fraction` resizes the draw to
     a fraction of the current sampling pool (used for the sample-a-share-of-
     support-vectors protocol).  When `sketch_size` is None the sketch size is
-    derived from the accuracy target eps0 of the active schedule.
+    derived from the accuracy target eps0 of the active schedule.  The
+    defaults run full Newton.
     """
 
     hessian_method: str = EXACT
@@ -86,7 +94,6 @@ class SolverConfig:
     gradient_sample_size: int | None = None
     inner: str = INNER_EXACT
     eps1: float = 0.0
-    kappa_source: str = "objective_bounds"
     max_iters: int = 100
     grad_tol: float = 1e-8
     divergence_guard: float = 1e8
@@ -121,7 +128,6 @@ class IterationTrace:
     grad_norms: list[float] = field(default_factory=list)
     gradients: list[np.ndarray] = field(default_factory=list)
     xs: list[np.ndarray] = field(default_factory=list)
-    steps: list[np.ndarray] = field(default_factory=list)
     inner_residuals: list[float] = field(default_factory=list)
     inner_stalled: list[bool] = field(default_factory=list)
     hessian_infos: list[dict] = field(default_factory=list)
@@ -138,39 +144,9 @@ class IterationTrace:
         return len(self.xs) == len(self.grad_norms)
 
 
-def condition_bound(
-    obj: FiniteSumObjective,
-    x0: np.ndarray,
-    source: str = "objective_bounds",
-    seed: int = 0,
-) -> float:
+def condition_bound(obj: FiniteSumObjective) -> float:
     """Upper bound kappa >= L / mu used for the inner-solve tolerance."""
-    if source == "objective_bounds":
-        return max(1.0, obj.L / obj.sigma)
-    if source == "power_iteration":
-        lam = power_iteration(obj.full_hessian(np.asarray(x0, float)), seed=seed)
-        return max(1.0, lam / obj.sigma)
-    raise DomainError(f"unknown kappa source {source!r}")
-
-
-def power_iteration(M: np.ndarray, seed: int = 0, iters: int = 200) -> float:
-    """Largest-eigenvalue estimate of a symmetric PSD matrix."""
-    gen = rng.generator(seed)
-    v = gen.standard_normal(M.shape[0])
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = M @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_lam = float(v @ (M @ v))
-        if abs(new_lam - lam) <= 1e-12 * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return lam
+    return max(1.0, obj.L / obj.sigma)
 
 
 def superlinear_schedule(t: int) -> float:
@@ -229,7 +205,9 @@ def solve_inner(
     rs = float(r @ r)
     best_p, best_res = p.copy(), math.sqrt(rs)
     iterations = 0
-    while math.sqrt(rs) > target and iterations < cap:
+    for _ in range(cap):
+        if not math.sqrt(rs) > target:  # also stops on a NaN residual
+            break
         Hq = H.matvec(q)
         curvature = float(q @ Hq)
         if curvature <= 0.0:
@@ -289,6 +267,8 @@ def _build_hessian(
     method = cfg.hessian_method
     if method == EXACT:
         return ApproxHessian.dense(obj.full_hessian(x), EXACT, {"t": t})
+    if method == GRADIENT_DESCENT:
+        return gradient_descent_hessian(obj)
     if method == SKETCHED:
         B = obj.hessian_factor(x)
         if B is None:
@@ -345,7 +325,7 @@ def approximate_newton_run(
     x = np.asarray(x0, dtype=float).copy()
     if not np.isfinite(x).all():
         raise DomainError("x0 must be finite")
-    kappa = condition_bound(obj, x, cfg.kappa_source, seed=cfg.seed)
+    kappa = condition_bound(obj)
     trace = IterationTrace()
     memo = _FactorMemo()
     while True:
@@ -392,78 +372,6 @@ def approximate_newton_run(
         info.update({k: v for k, v in H.meta.items() if np.isscalar(v)})
         trace.hessian_infos.append(info)
         trace.wall_ms.append((time.perf_counter() - tic) * 1e3)
-        if cfg.store_snapshots:
-            trace.steps.append(inner.p.copy())
     trace.x_final = x
     return trace
 
-
-def baseline_run(
-    obj: FiniteSumObjective,
-    kind: str,
-    x0: np.ndarray,
-    max_iters: int = 100,
-    grad_tol: float = 1e-8,
-    eps1: float = 0.0,
-    seed: int = 0,
-    store_snapshots: bool = True,
-) -> IterationTrace:
-    """Reference solvers: gradient_descent (step 1/L), full_newton, newton_cg."""
-    if kind == "full_newton":
-        cfg = SolverConfig(
-            hessian_method=EXACT,
-            inner=INNER_EXACT,
-            max_iters=max_iters,
-            grad_tol=grad_tol,
-            seed=seed,
-            store_snapshots=store_snapshots,
-        )
-        return approximate_newton_run(obj, cfg, x0)
-    if kind == "newton_cg":
-        cfg = SolverConfig(
-            hessian_method=EXACT,
-            inner=INNER_CG,
-            eps1=eps1,
-            max_iters=max_iters,
-            grad_tol=grad_tol,
-            seed=seed,
-            store_snapshots=store_snapshots,
-        )
-        return approximate_newton_run(obj, cfg, x0)
-    if kind != "gradient_descent":
-        raise DomainError(f"unknown baseline {kind!r}")
-
-    x = np.asarray(x0, dtype=float).copy()
-    L = float(np.linalg.eigvalsh(obj.full_hessian(x))[-1])
-    step = 1.0 / L
-    trace = IterationTrace()
-    while True:
-        g = obj.gradient(x)
-        gnorm = float(np.linalg.norm(g))
-        if not math.isfinite(gnorm):
-            trace.status = DIVERGED
-            break
-        trace.grad_norms.append(gnorm)
-        trace.gradients.append(g)
-        if store_snapshots:
-            trace.xs.append(x.copy())
-        if gnorm > 1e8:
-            trace.status = DIVERGED
-            break
-        if gnorm <= grad_tol:
-            trace.status = CONVERGED
-            break
-        if trace.n_steps >= max_iters:
-            trace.status = MAX_ITERS
-            break
-        tic = time.perf_counter()
-        p = step * g
-        x = x - p
-        trace.inner_residuals.append(0.0)
-        trace.inner_stalled.append(False)
-        trace.hessian_infos.append({"method": "gradient_descent", "step": step})
-        trace.wall_ms.append((time.perf_counter() - tic) * 1e3)
-        if store_snapshots:
-            trace.steps.append(p)
-    trace.x_final = x
-    return trace

@@ -15,7 +15,6 @@ import pytest
 from approxnewton import (
     SolverConfig,
     approximate_newton_run,
-    baseline_run,
     check_spectral_sandwich,
     classify_rate,
     compute_mstar_reference,
@@ -146,7 +145,9 @@ def test_criterion_04_lipschitz_free_rates(svm_problem):
     assert tr_sub.status == "converged"
     assert rep_sub.classification == LINEAR
 
-    tr_newton = baseline_run(obj, "full_newton", x0, max_iters=200, grad_tol=1e-10)
+    tr_newton = approximate_newton_run(
+        obj, SolverConfig(max_iters=200, grad_tol=1e-10), x0
+    )
     rep_newton = classify_rate(tr_newton, ref)
     assert tr_newton.status == "converged"
     assert rep_newton.classification in (SUPERLINEAR, QUADRATIC)
@@ -314,7 +315,7 @@ def test_criterion_10_one_step_newton(ill_conditioned_problem):
     for obj in instances:
         x0 = np.zeros(obj.d)
         tol = 1e-9 * np.linalg.norm(obj.gradient(x0))
-        trace = baseline_run(obj, "full_newton", x0, max_iters=5, grad_tol=tol)
+        trace = approximate_newton_run(obj, SolverConfig(max_iters=5, grad_tol=tol), x0)
         assert trace.status == "converged"
         assert trace.n_steps == 1, obj.name
     elapsed = time.perf_counter() - tic
@@ -327,8 +328,10 @@ def test_criterion_11_superlinear_schedule():
     ds = synthetic_two_class(500, 20, seed=13, separation=3.0)
     obj = svm_hinge2_objective(ds, C=50.0)
     ref = compute_mstar_reference(obj, np.zeros(20))
-    warm = baseline_run(obj, "full_newton", np.zeros(20), max_iters=2,
-                        grad_tol=1e-300, store_snapshots=False)
+    warm = approximate_newton_run(
+        obj, SolverConfig(max_iters=2, grad_tol=1e-300, store_snapshots=False),
+        np.zeros(20),
+    )
     good = 0
     for seed in range(10):
         cfg = SolverConfig(

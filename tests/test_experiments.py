@@ -10,6 +10,7 @@ from approxnewton.experiments import (
     CELL_KEYS,
     EMBEDDING_CHECK,
     EXPERIMENTS,
+    NEWSAMP_SWEEP,
     SUMMARY_COLUMNS,
     ExperimentConfig,
     build_objective,
@@ -160,6 +161,44 @@ class TestRunExperiment:
             cfg = default_config(experiment, str(tmp_path), full_scale=full_scale)
             for cell in cfg.grid:
                 assert set(cell) <= CELL_KEYS, cell
+
+    def test_newsamp_grid_ranks_below_sample_sizes(self, tmp_path):
+        for full_scale, cells in ((False, 3), (True, 4)):
+            cfg = default_config(NEWSAMP_SWEEP, str(tmp_path), full_scale=full_scale)
+            assert len(cfg.grid) == cells
+            for cell in cfg.grid:
+                assert cell["rank"] < cell["sample_size"], cell
+
+    def test_presets_match_exact_hessian_cells(self, tmp_path):
+        # full_newton is the exact Hessian with an exact inner solve and
+        # newton_cg the exact Hessian with CG, cold and after a warm start
+        pairs = [
+            ({"method": "full_newton"}, {"method": "exact"}),
+            ({"method": "newton_cg", "eps1": 0.1},
+             {"method": "exact", "inner": "cg", "eps1": 0.1}),
+        ]
+        for i, pair in enumerate(pairs):
+            outs = [tmp_path / f"pair{i}-preset", tmp_path / f"pair{i}-exact"]
+            for out, cell in zip(outs, pair):
+                cfg = tiny_config(out, seeds=(0,))
+                cfg.problem = {"kind": "two_class", "n": 300, "d": 8, "seed": 1,
+                               "separation": 3.0, "C": 50.0}
+                cfg.grid = [dict(cell, label="cold"),
+                            dict(cell, label="warm", warm_start_steps=2)]
+                assert run_experiment(cfg) == 0
+            names = sorted(n for n in os.listdir(outs[0]) if n.startswith("trace_"))
+            assert names == ["trace_cold_s0.csv", "trace_warm_s0.csv"]
+            for name in names:
+                assert read(outs[0] / name) == read(outs[1] / name), name
+            cold, warm = (read(outs[0] / name) for name in names)
+            assert len(warm.splitlines()) < len(cold.splitlines())
+
+    def test_preset_with_inner_rejected(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cfg.grid = [{"label": "cg", "method": "newton_cg", "inner": "exact"}]
+        with pytest.raises(DomainError, match="fixes the inner solve"):
+            run_experiment(cfg)
+        assert not (tmp_path / "summary.csv").exists()
 
 
 class TestPlotData:
@@ -340,6 +379,22 @@ class TestCli:
         assert err.startswith("config error: ")
         assert "sample_szie" in err
         assert err.count("\n") == 1
+
+    def test_preset_with_inner_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump({
+            "experiment": "custom",
+            "problem": {"kind": "synthetic", "n": 40, "d": 4, "decay": 1.5,
+                        "seed": 3},
+            "grid": [{"method": "newton_cg", "inner": "exact"}],
+            "seeds": [0],
+            "output_dir": str(tmp_path / "out"),
+        }))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_plot_subcommand(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, seeds=(0,))

@@ -3,7 +3,6 @@ import pytest
 
 from approxnewton import (
     DomainError,
-    LeastSquaresObjective,
     NotPositiveDefinite,
     ShapeError,
     check_spectral_sandwich,
@@ -101,18 +100,6 @@ class TestSubsampledHessian:
         with pytest.raises(ShapeError):
             subsampled_hessian(ls_tiny, np.zeros(4), size=0, seed=0)
 
-    def test_regularizer_must_be_multiple_of_identity(self):
-        gen = np.random.Generator(np.random.Philox(key=12))
-
-        class DiagonalRidge(LeastSquaresObjective):
-            def regularizer_hessian(self):
-                return np.diag([1.0, 2.0, 1.0, 1.0])
-
-        obj = DiagonalRidge(gen.standard_normal((30, 4)), gen.standard_normal(30))
-        for size in (2, 8):  # both sides of d
-            with pytest.raises(DomainError):
-                subsampled_hessian(obj, np.zeros(4), size=size, seed=0)
-
     def test_deterministic(self, ls_tiny):
         a = subsampled_hessian(ls_tiny, np.zeros(4), size=6, seed=9).matrix
         b = subsampled_hessian(ls_tiny, np.zeros(4), size=6, seed=9).matrix
@@ -199,8 +186,7 @@ class TestNewsampHessian:
             def hessian_term_root(self, idx, x):
                 return np.linalg.cholesky(M).T
 
-            def regularizer_hessian(self):
-                return np.zeros((8, 8))
+            regularizer_scale = 0.0
 
         r = 3
         H = newsamp_hessian(FakeObj(), np.zeros(8), size=1, r=r, seed=0)

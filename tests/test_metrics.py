@@ -8,7 +8,6 @@ from approxnewton import (
     ShapeError,
     SnapshotsRequired,
     approximate_newton_run,
-    baseline_run,
     classify_rate,
     compute_mstar_reference,
     contraction_diagnostics,
@@ -171,9 +170,8 @@ class TestClassifyRate:
 
     def test_exact_newton_on_svm_superlinear_or_quadratic(self, svm_mid):
         ref = compute_mstar_reference(svm_mid, np.zeros(svm_mid.d))
-        trace = baseline_run(
-            svm_mid, "full_newton", np.zeros(svm_mid.d), max_iters=100,
-            grad_tol=1e-10,
+        trace = approximate_newton_run(
+            svm_mid, SolverConfig(max_iters=100, grad_tol=1e-10), np.zeros(svm_mid.d)
         )
         report = classify_rate(trace, ref)
         assert report.classification in (SUPERLINEAR, QUADRATIC)

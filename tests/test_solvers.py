@@ -8,9 +8,9 @@ from approxnewton import (
     FiniteSumObjective,
     NotPositiveDefinite,
     approximate_newton_run,
-    baseline_run,
     least_squares_objective,
     solve_inner,
+    subsampled_hessian,
     superlinear_schedule,
 )
 from approxnewton.solvers import (
@@ -18,7 +18,6 @@ from approxnewton.solvers import (
     DIVERGED,
     SolverConfig,
     condition_bound,
-    power_iteration,
 )
 
 
@@ -71,14 +70,27 @@ class TestNewtonDriver:
         assert trace.status == CONVERGED
         assert trace.n_steps == 1
 
-    def test_unit_step_contract(self, ls_tiny):
-        cfg = SolverConfig(hessian_method="subsampled", sample_size=10,
-                           max_iters=5, grad_tol=1e-14, store_snapshots=True)
-        trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
-        for t in range(trace.n_steps):
-            np.testing.assert_array_equal(
-                trace.xs[t + 1], trace.xs[t] - trace.steps[t]
-            )
+    def test_unit_step_contract(self, ls_tiny, svm_tiny):
+        # rebuild every step from its iterate and its surrogate's draw: the
+        # next iterate is the current one minus the inner solution, bit for bit
+        runs = [
+            (ls_tiny, SolverConfig(hessian_method="subsampled", sample_size=10,
+                                   max_iters=5, grad_tol=1e-14,
+                                   store_snapshots=True), np.ones(4)),
+            (svm_tiny, SolverConfig(hessian_method="subsampled",
+                                    sample_fraction=0.5, max_iters=5,
+                                    grad_tol=1e-14, store_snapshots=True),
+             np.ones(4)),
+        ]
+        for obj, cfg, x0 in runs:
+            trace = approximate_newton_run(obj, cfg, x0)
+            assert trace.n_steps >= 2
+            for t in range(trace.n_steps):
+                x, info = trace.xs[t], trace.hessian_infos[t]
+                H = subsampled_hessian(obj, x, info["size"], info["seed"])
+                p = solve_inner(H, obj.gradient(x), cfg.eps1, condition_bound(obj),
+                                cfg.inner).p
+                np.testing.assert_array_equal(trace.xs[t + 1], x - p)
 
     def test_alpha_zero_reduces_to_plain_subsampled(self, ls_tiny):
         base = SolverConfig(hessian_method="subsampled", sample_size=8,
@@ -115,7 +127,7 @@ class TestNewtonDriver:
         cfg = SolverConfig(hessian_method="exact", inner="cg", eps1=0.2,
                            max_iters=30, grad_tol=1e-9, seed=1)
         trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
-        kappa = condition_bound(ls_tiny, np.ones(4))
+        kappa = condition_bound(ls_tiny)
         for res, stalled in zip(trace.inner_residuals, trace.inner_stalled):
             if not stalled:
                 assert res <= 0.2 / kappa + 1e-12
@@ -139,15 +151,19 @@ class TestNewtonDriver:
 
 class TestBaselines:
     def test_full_newton_single_step(self, ls_small):
-        trace = baseline_run(ls_small, "full_newton", np.zeros(5), grad_tol=1e-8)
+        trace = approximate_newton_run(ls_small, SolverConfig(grad_tol=1e-8),
+                                       np.zeros(5))
         assert trace.status == CONVERGED
         assert trace.n_steps == 1
 
     def test_newton_cg_matches_full_newton(self, ls_tiny):
-        tr_cg = baseline_run(ls_tiny, "newton_cg", np.ones(4), max_iters=10,
-                             grad_tol=1e-9, eps1=0.0)
-        tr_nt = baseline_run(ls_tiny, "full_newton", np.ones(4), max_iters=10,
-                             grad_tol=1e-9)
+        tr_cg = approximate_newton_run(
+            ls_tiny, SolverConfig(inner="cg", eps1=0.0, max_iters=10, grad_tol=1e-9),
+            np.ones(4),
+        )
+        tr_nt = approximate_newton_run(
+            ls_tiny, SolverConfig(max_iters=10, grad_tol=1e-9), np.ones(4)
+        )
         assert tr_cg.n_steps == tr_nt.n_steps
         for a, b in zip(tr_cg.xs, tr_nt.xs):
             assert np.linalg.norm(a - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
@@ -156,17 +172,19 @@ class TestBaselines:
         A = np.diag([1.0, np.sqrt(10.0)])
         target = np.array([1.0, 1.0])
         obj = least_squares_objective(A, A @ target)
-        trace = baseline_run(obj, "gradient_descent", np.zeros(2), max_iters=40,
-                             grad_tol=1e-12)
-        # step 1/10: the error in the unit-curvature coordinate contracts by
-        # exactly 0.9 per iteration
+        cfg = SolverConfig(hessian_method="gradient_descent", max_iters=40,
+                           grad_tol=1e-12)
+        trace = approximate_newton_run(obj, cfg, np.zeros(2))
+        # step 1/L = 1/10: the error in the unit-curvature coordinate
+        # contracts by exactly 0.9 per iteration
         errs = [abs(x[0] - 1.0) for x in trace.xs]
         for e0, e1 in zip(errs[:-1], errs[1:]):
             assert e1 == pytest.approx(0.9 * e0, rel=1e-10)
 
     def test_unknown_baseline(self, ls_tiny):
         with pytest.raises(DomainError):
-            baseline_run(ls_tiny, "bfgs", np.zeros(4))
+            approximate_newton_run(ls_tiny, SolverConfig(hessian_method="bfgs"),
+                                   np.zeros(4))
 
 
 class TestSchedule:
@@ -185,13 +203,8 @@ class TestSchedule:
 
 class TestConditionBound:
     def test_objective_bounds(self, ls_small):
-        kappa = condition_bound(ls_small, np.zeros(5))
+        kappa = condition_bound(ls_small)
         assert kappa == pytest.approx(ls_small.L / ls_small.sigma)
-
-    def test_power_iteration_close_to_eigh(self, ls_small):
-        H = ls_small.full_hessian(np.zeros(5))
-        lam = power_iteration(H, seed=0)
-        assert lam == pytest.approx(np.linalg.eigvalsh(H)[-1], rel=1e-6)
 
 
 class QuadraticQuartic(FiniteSumObjective):
@@ -220,8 +233,8 @@ class TestQuadraticRegime:
         M = gen.standard_normal((6, 6))
         Q = M @ M.T + 2.0 * np.eye(6)
         obj = QuadraticQuartic(Q, gen.standard_normal(6), c=0.5)
-        trace = baseline_run(obj, "full_newton", 0.5 * gen.standard_normal(6),
-                             max_iters=30, grad_tol=1e-13)
+        trace = approximate_newton_run(obj, SolverConfig(max_iters=30, grad_tol=1e-13),
+                                       0.5 * gen.standard_normal(6))
         assert trace.status == CONVERGED
         # Hessian-layer Lipschitz constant on the visited region
         radius = max(np.abs(np.asarray(trace.xs)).max(), 1.0)

@@ -4,8 +4,9 @@ The references are built the slow way, from per-sample Hessians of the same
 draw and, for NewSamp, a full eigendecomposition, so they share no
 arithmetic with the forms they check.  Roots of fewer than d rows take the
 Woodbury form, roots of at least d rows the dense form, and NewSamp always
-the floored-spectrum form; the strategies cover both sides of d on least
-squares (no regularizer) and the SVM (regularizer I).
+the floored-spectrum form, as does the gradient-descent surrogate `L I`;
+the strategies cover both sides of d on least squares (no regularizer) and
+the SVM (regularizer I).
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from approxnewton import (
     DomainError,
     NotPositiveDefinite,
+    gradient_descent_hessian,
     least_squares_objective,
     newsamp_hessian,
     regularized_subsampled_hessian,
@@ -54,13 +56,13 @@ def problems(draw):
 
 def reference_subsampled(obj, x, size, seed):
     """Pool share times the mean per-sample Hessian of the draw, plus the
-    regularizer Hessian."""
+    regularizer Hessian `regularizer_scale * I`."""
     pool = obj.hessian_sample_pool(x)
     loss = np.zeros((obj.d, obj.d))
     if pool.size:
         idx = pool[rng.generator(seed).integers(0, pool.size, size=size)]
         loss = sum(obj.per_sample_hessian(i, x) for i in idx) / size
-    return pool.size / obj.n * loss + obj.regularizer_hessian()
+    return pool.size / obj.n * loss + obj.regularizer_scale * np.eye(obj.d)
 
 
 def reference_floored(M, r):
@@ -102,7 +104,7 @@ def test_subsampled_matches_dense_reference(problem, data):
     seed = data.draw(st.integers(0, 1000), label="seed")
     H = subsampled_hessian(obj, x, size, seed)
     ref = reference_subsampled(obj, x, size, seed)
-    if size < obj.d and not obj.regularizer_hessian().any():
+    if size < obj.d and obj.regularizer_scale == 0.0:
         # rank-deficient and unshifted: there is nothing to solve with
         with pytest.raises(NotPositiveDefinite):
             H.solve(np.ones(obj.d))
@@ -162,3 +164,14 @@ def test_sketched_matches_dense_reference(problem, data):
         np.testing.assert_allclose(H.matrix, ref, rtol=0, atol=1e-12 * scale)
         return
     check_against(H, ref, gen)
+
+
+@PROPERTY
+@given(problems())
+def test_gradient_descent_is_L_identity(problem):
+    obj, _, gen = problem
+    H = gradient_descent_hessian(obj)
+    check_against(H, obj.L * np.eye(obj.d), gen)
+    v = gen.standard_normal(obj.d)
+    np.testing.assert_array_equal(H.solve(v), v / obj.L)
+    np.testing.assert_array_equal(H.matvec(v), obj.L * v)
