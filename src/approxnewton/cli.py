@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import experiments, sketch
-from .errors import ApproxNewtonError
+from .errors import ApproxNewtonError, DomainError
 from .problems import synthetic_spectrum_matrix
 
 
@@ -32,12 +32,13 @@ def _cmd_run(args) -> int:
     overrides = {
         "output_dir": args.out,
         "experiment": args.experiment,
-        "full_scale": True if args.full_scale else None,
         "seeds": [args.seed] if args.seed is not None else None,
         "workers": args.workers,
     }
     try:
         if args.config:
+            if args.full_scale:
+                raise DomainError("--full-scale applies to --experiment only")
             cfg = experiments.load_config(args.config, overrides)
         elif args.experiment:
             cfg = experiments.default_config(
@@ -121,7 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--experiment", choices=experiments.EXPERIMENTS)
     run_p.add_argument("--seed", type=int, help="replace the seed list")
     run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--full-scale", action="store_true", dest="full_scale")
+    run_p.add_argument("--full-scale", action="store_true", dest="full_scale",
+                       help="full-size problem of a built-in --experiment")
     run_p.add_argument("--workers", type=int)
     run_p.set_defaults(func=_cmd_run)
 

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -27,6 +27,7 @@ import yaml
 
 from . import metrics, rng, sketch, solvers
 from .errors import ApproxNewtonError, DomainError
+from .hessian_approx import EXACT
 from .problems import (
     FiniteSumObjective,
     least_squares_objective,
@@ -66,15 +67,18 @@ SUMMARY_COLUMNS = (
 )
 EMBEDDING_COLUMNS = ("kind", "seed", "achieved_eps", "holds")
 
-# every key `_solver_config` and `run_cell` read from a grid cell
-CELL_KEYS = frozenset({
-    "label", "method", "warm_start_steps", "sketch_kind", "sketch_size",
-    "sample_size", "sample_fraction", "alpha", "rank", "eps0", "eps0_schedule",
-    "gradient_mode", "gradient_sample_size", "inner", "eps1", "max_iters",
-    "grad_tol", "divergence_guard", "store_snapshots",
-})
+# the cell keys `run_cell` reads itself; every other cell key is a
+# `SolverConfig` field (`method` sets `hessian_method`, the run sets `seed`)
+RUN_KEYS = frozenset({"label", "method", "warm_start_steps"})
+CELL_KEYS = RUN_KEYS | (
+    {f.name for f in fields(solvers.SolverConfig)}
+    - {"hessian_method", "seed", "store_snapshots"}
+)
 # cell methods that name an exact-Hessian preset, with the inner solve each fixes
-PRESETS = {"full_newton": solvers.INNER_EXACT, "newton_cg": solvers.INNER_CG}
+PRESETS = {
+    "full_newton": {"hessian_method": EXACT, "inner": solvers.INNER_EXACT},
+    "newton_cg": {"hessian_method": EXACT, "inner": solvers.INNER_CG},
+}
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -87,7 +91,6 @@ class ExperimentConfig:
     output_dir: str
     max_iters: int = 100
     grad_tol: float = 1e-8
-    full_scale: bool = False
     workers: int | None = None
 
     def __post_init__(self):
@@ -161,30 +164,19 @@ def build_objective(problem: dict) -> FiniteSumObjective:
 
 
 def _solver_config(cell: dict, cfg: ExperimentConfig, seed: int) -> solvers.SolverConfig:
-    method = cell.get("method", "exact")
-    inner = cell.get("inner", solvers.INNER_EXACT)
-    if method in PRESETS:
-        method, inner = "exact", PRESETS[method]
-    return solvers.SolverConfig(
-        hessian_method=method,
-        sketch_kind=cell.get("sketch_kind"),
-        sketch_size=cell.get("sketch_size"),
-        sample_size=cell.get("sample_size"),
-        sample_fraction=cell.get("sample_fraction"),
-        alpha=cell.get("alpha", 0.0),
-        rank=cell.get("rank"),
-        eps0=cell.get("eps0", 0.5),
-        eps0_schedule=cell.get("eps0_schedule", solvers.SCHEDULE_CONSTANT),
-        gradient_mode=cell.get("gradient_mode", solvers.GRADIENT_FULL),
-        gradient_sample_size=cell.get("gradient_sample_size"),
-        inner=inner,
-        eps1=cell.get("eps1", 0.0),
-        max_iters=cell.get("max_iters", cfg.max_iters),
-        grad_tol=cell.get("grad_tol", cfg.grad_tol),
-        divergence_guard=cell.get("divergence_guard", 1e8),
-        seed=seed,
-        store_snapshots=cell.get("store_snapshots", False),
-    )
+    """The keys the cell sets, the experiment's `max_iters` and `grad_tol`
+    where it sets none, and the `SolverConfig` defaults for the rest."""
+    settings = {key: val for key, val in cell.items() if key not in RUN_KEYS}
+    if "method" in cell:
+        method = cell["method"]
+        settings.update(PRESETS.get(method, {"hessian_method": method}))
+    settings.setdefault("max_iters", cfg.max_iters)
+    settings.setdefault("grad_tol", cfg.grad_tol)
+    return solvers.SolverConfig(seed=seed, **settings)
+
+
+def _label(cell: dict) -> str:
+    return cell.get("label") or cell.get("method", "run")
 
 
 def run_cell(
@@ -195,15 +187,13 @@ def run_cell(
     seed: int,
 ) -> RunOutcome:
     """Execute one grid cell at one seed and classify its trace."""
-    label = cell.get("label") or cell.get("method", "run")
+    label = _label(cell)
     tag = f"{label}_s{seed}"
     try:
         x0 = np.zeros(obj.d)
         warm = cell.get("warm_start_steps", 0)
         if warm:
-            warm_cfg = solvers.SolverConfig(
-                max_iters=warm, grad_tol=1e-300, store_snapshots=False
-            )
+            warm_cfg = solvers.SolverConfig(max_iters=warm, grad_tol=1e-300)
             x0 = solvers.approximate_newton_run(obj, warm_cfg, x0).x_final
         trace = solvers.approximate_newton_run(obj, _solver_config(cell, cfg, seed), x0)
         metrics.fill_mstar_norms(trace, ref)
@@ -280,6 +270,14 @@ def _check_cell_keys(cfg: ExperimentConfig) -> None:
             raise DomainError(f"unknown cell keys: {sorted(unknown)}")
         if cell.get("method") in PRESETS and "inner" in cell:
             raise DomainError(f"method {cell['method']} fixes the inner solve: {cell}")
+        _solver_config(cell, cfg, cfg.seeds[0])
+    # a run's output files are named by its label and seed
+    labels = [str(_label(cell)) for cell in cfg.grid]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise DomainError(f"cells share a label: {repeated}")
+    if len(set(cfg.seeds)) < len(cfg.seeds):
+        raise DomainError(f"repeated seeds: {cfg.seeds}")
 
 
 def _run_embedding_check(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -406,18 +404,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     for key, val in (overrides or {}).items():
         if val is not None:
             data[key] = val
-    known = {
-        "experiment",
-        "problem",
-        "grid",
-        "seeds",
-        "output_dir",
-        "max_iters",
-        "grad_tol",
-        "full_scale",
-        "workers",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown)}")
     data.setdefault("output_dir", os.environ.get(OUTPUT_ENV_VAR, "approxnewton-out"))

@@ -51,12 +51,10 @@ DIVERGED_CLASS = "diverged"
 
 @dataclass
 class MstarReference:
-    """The optimum, the Hessian there, its inverse, and the inverse's
-    symmetric square root."""
+    """The optimum and the symmetric square root of the inverse Hessian
+    there."""
 
     x_star: np.ndarray
-    hessian_at_star: np.ndarray
-    mstar: np.ndarray
     mstar_half: np.ndarray
 
 
@@ -71,21 +69,15 @@ class RateReport:
 def compute_mstar_reference(
     obj: FiniteSumObjective, x0: np.ndarray, max_iters: int = 200
 ) -> MstarReference:
-    """Locate x* by exact Newton and factorize the Hessian there.
+    """Locate x* by exact Newton and take the inverse square root of the
+    Hessian there.
 
     The reference gradient tolerance is 1e-13 scaled by max(1, ||grad F(x0)||).
     """
     x0 = np.asarray(x0, dtype=float)
     g0 = float(np.linalg.norm(obj.gradient(x0)))
     tol = 1e-13 * max(1.0, g0)
-    cfg = SolverConfig(
-        hessian_method="exact",
-        inner="exact",
-        max_iters=max_iters,
-        grad_tol=tol,
-        store_snapshots=False,
-        seed=0,
-    )
+    cfg = SolverConfig(max_iters=max_iters, grad_tol=tol)
     trace = approximate_newton_run(obj, cfg, x0)
     if trace.status != "converged":
         raise ReferenceNotConverged(
@@ -93,11 +85,8 @@ def compute_mstar_reference(
             f"||grad|| = {trace.grad_norms[-1]:.3e} (tol {tol:.3e})"
         )
     x_star = trace.x_final
-    hess = obj.full_hessian(x_star)
-    w, V = np.linalg.eigh(hess)
-    mstar = (V / w) @ V.T
-    mstar_half = (V / np.sqrt(w)) @ V.T
-    return MstarReference(x_star, hess, mstar, mstar_half)
+    w, V = np.linalg.eigh(obj.full_hessian(x_star))
+    return MstarReference(x_star, (V / np.sqrt(w)) @ V.T)
 
 
 def mstar_norm(ref: MstarReference, v: np.ndarray) -> float:
@@ -229,8 +218,9 @@ def contraction_diagnostics(
     mu = obj.sigma
     L = obj.L
     kappa = max(1.0, L / mu)
-    hess_star = ref.hessian_at_star
-    inv_star = ref.mstar
+    hess_star = obj.full_hessian(ref.x_star)
+    w_star, V_star = np.linalg.eigh(hess_star)
+    inv_star = (V_star / w_star) @ V_star.T
     rows = []
     r = trace.grad_mstar_norms
     for t in range(trace.n_steps):
@@ -268,9 +258,7 @@ def spectral_norm(M: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(M)).max()) if M.size else 0.0
 
 
-def distance_bound_from_gradient(
-    ref: MstarReference, grad_mstar: float, L: float, mu: float
-) -> float:
+def distance_bound_from_gradient(grad_mstar: float, L: float, mu: float) -> float:
     """Bound sqrt(L)/mu * r_t on the distance ||x_t - x*||."""
     if L <= 0 or mu <= 0 or grad_mstar < 0:
         raise ShapeError("L, mu must be positive and grad_mstar nonnegative")

@@ -20,8 +20,9 @@ run is bit-reproducible and iterations are independent.
 from __future__ import annotations
 
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -56,9 +57,6 @@ CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 DIVERGED = "diverged"
 
-GRADIENT_FULL = "full"
-GRADIENT_SUBSAMPLED = "subsampled"
-
 INNER_EXACT = "exact"
 INNER_CG = "cg"
 
@@ -67,6 +65,11 @@ SCHEDULE_LOG_DECAY = "log_decay"
 
 _CG_FLOOR = 1e-12  # relative residual floor when eps1 = 0
 _REFINEMENT_PASSES = 2
+# the number classes a field annotated `int` or `float` must belong to
+_NUMBER_FIELDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+}
 
 
 @dataclass
@@ -77,8 +80,10 @@ class SolverConfig:
     alpha/rank fields parameterize it.  `sample_fraction` resizes the draw to
     a fraction of the current sampling pool (used for the sample-a-share-of-
     support-vectors protocol).  When `sketch_size` is None the sketch size is
-    derived from the accuracy target eps0 of the active schedule.  The
-    defaults run full Newton.
+    derived from the accuracy target eps0 of the active schedule.  A step
+    uses a subsampled gradient exactly when `gradient_sample_size` is set.
+    `store_snapshots` keeps every iterate in `trace.xs`.  The defaults run
+    full Newton.
     """
 
     hessian_method: str = EXACT
@@ -90,7 +95,6 @@ class SolverConfig:
     rank: int | None = None
     eps0: float = 0.5
     eps0_schedule: str = SCHEDULE_CONSTANT
-    gradient_mode: str = GRADIENT_FULL
     gradient_sample_size: int | None = None
     inner: str = INNER_EXACT
     eps1: float = 0.0
@@ -98,9 +102,18 @@ class SolverConfig:
     grad_tol: float = 1e-8
     divergence_guard: float = 1e8
     seed: int = 0
-    store_snapshots: bool = True
+    store_snapshots: bool = False
 
     def __post_init__(self):
+        # annotations are strings here (postponed evaluation), e.g. "int | None"
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if kind not in _NUMBER_FIELDS or (value is None and optional):
+                continue
+            cls, what = _NUMBER_FIELDS[kind]
+            if isinstance(value, bool) or not isinstance(value, cls):
+                raise DomainError(f"{f.name} must be {what}, got {value!r}")
         if not 0.0 <= self.eps1 < 1.0:
             raise DomainError(f"eps1 must be in [0,1), got {self.eps1}")
         if self.grad_tol <= 0 or self.max_iters < 1:
@@ -355,9 +368,7 @@ def approximate_newton_run(
         else:
             eps0_t = cfg.eps0
         H = _build_hessian(obj, x, cfg, t, eps0_t, memo)
-        if cfg.gradient_mode == GRADIENT_SUBSAMPLED:
-            if cfg.gradient_sample_size is None:
-                raise DomainError("gradient_sample_size required")
+        if cfg.gradient_sample_size is not None:
             g_step = subsampled_gradient(
                 obj, x, cfg.gradient_sample_size, rng.child_seed(cfg.seed, 2, t)
             )

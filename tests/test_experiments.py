@@ -1,18 +1,24 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from approxnewton import DomainError, LeastSquaresObjective
+from approxnewton import DomainError, LeastSquaresObjective, sketch, solvers
 from approxnewton.cli import main
 from approxnewton.experiments import (
     CELL_KEYS,
     EMBEDDING_CHECK,
     EXPERIMENTS,
     NEWSAMP_SWEEP,
+    PRESETS,
+    RUN_KEYS,
     SUMMARY_COLUMNS,
     ExperimentConfig,
+    _solver_config,
     build_objective,
     default_config,
     emit_plot_data,
@@ -41,6 +47,65 @@ def tiny_config(out_dir, seeds=(0, 1)):
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+# a valid value for every cell key
+CELL_VALUES = {
+    "label": st.text(min_size=1, max_size=8),
+    "method": st.sampled_from(["exact", "sketched", "subsampled",
+                               "regularized_subsampled", "newsamp",
+                               "gradient_descent", *PRESETS]),
+    "warm_start_steps": st.integers(0, 3),
+    "sketch_kind": st.sampled_from(sketch.ALL_KINDS),
+    "sketch_size": st.integers(1, 500),
+    "sample_size": st.integers(1, 500),
+    "sample_fraction": st.floats(0.01, 1.0),
+    "alpha": st.floats(0.0, 3.0),
+    "rank": st.integers(1, 50),
+    "eps0": st.floats(0.01, 0.9),
+    "eps0_schedule": st.sampled_from([solvers.SCHEDULE_CONSTANT,
+                                      solvers.SCHEDULE_LOG_DECAY]),
+    "gradient_sample_size": st.integers(1, 500),
+    "inner": st.sampled_from([solvers.INNER_EXACT, solvers.INNER_CG]),
+    "eps1": st.floats(0.0, 0.99),
+    "max_iters": st.integers(1, 1000),
+    "grad_tol": st.floats(1e-14, 1e-2),
+    "divergence_guard": st.floats(1.0, 1e12),
+}
+
+
+@st.composite
+def cells(draw):
+    keys = draw(st.sets(st.sampled_from(sorted(CELL_VALUES))))
+    cell = {key: draw(CELL_VALUES[key]) for key in sorted(keys)}
+    if cell.get("method") in PRESETS:
+        cell.pop("inner", None)  # a preset fixes the inner solve
+    return cell
+
+
+def test_cell_values_cover_cell_keys():
+    assert set(CELL_VALUES) == CELL_KEYS
+    assert len(CELL_KEYS) == 17
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells(), st.integers(0, 2**31 - 1))
+def test_solver_config_takes_cell_then_experiment_then_defaults(cell, seed):
+    cfg = tiny_config("unused")
+    cfg.max_iters, cfg.grad_tol = 37, 3e-5  # not the SolverConfig defaults
+    got = _solver_config(cell, cfg, seed)
+    default = solvers.SolverConfig()
+    expected = {f.name: getattr(default, f.name) for f in fields(default)}
+    expected.update(max_iters=37, grad_tol=3e-5, seed=seed)
+    expected.update({k: v for k, v in cell.items() if k not in RUN_KEYS})
+    method = cell.get("method")
+    if method == "full_newton":
+        expected.update(hessian_method="exact", inner="exact")
+    elif method == "newton_cg":
+        expected.update(hessian_method="exact", inner="cg")
+    elif method is not None:
+        expected["hessian_method"] = method
+    assert {f.name: getattr(got, f.name) for f in fields(got)} == expected
 
 
 class TestRunExperiment:
@@ -192,6 +257,21 @@ class TestRunExperiment:
                 assert read(outs[0] / name) == read(outs[1] / name), name
             cold, warm = (read(outs[0] / name) for name in names)
             assert len(warm.splitlines()) < len(cold.splitlines())
+
+    @pytest.mark.parametrize(
+        "grid, seeds, match",
+        [
+            ([{"method": "exact"}, {"method": "exact", "inner": "cg", "eps1": 0.5}],
+             [0], "share a label"),
+            ([{"label": "a", "method": "exact"}], [0, 0], "repeated seeds"),
+        ],
+    )
+    def test_runs_sharing_output_files_rejected(self, tmp_path, grid, seeds, match):
+        cfg = tiny_config(tmp_path, seeds=seeds)
+        cfg.grid = grid
+        with pytest.raises(DomainError, match=match):
+            run_experiment(cfg)
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_preset_with_inner_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -393,6 +473,42 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "raw, args, message",
+        [
+            # YAML 1.1 reads 1e-1 and 1e2 (no dot) as strings
+            ({"grid": "[{label: a, method: exact, inner: cg, eps1: 1e-1}]"}, [],
+             "eps1 must be a number, got '1e-1'"),
+            ({"grid": "[{label: a, method: subsampled, sample_size: 1e2}]"}, [],
+             "sample_size must be an integer, got '1e2'"),
+            ({"grid": "[{method: exact}, {method: exact, inner: cg, eps1: 0.5}]"},
+             [], "share a label"),
+            ({"seeds": "[0, 0]"}, [], "repeated seeds"),
+            ({}, ["--full-scale"], "--full-scale"),
+            ({"full_scale": "true"}, [], "full_scale"),
+            ({"grid": "[{label: a, gradient_mode: subsampled, "
+                      "gradient_sample_size: 20}]"}, [], "gradient_mode"),
+            ({"grid": "[{label: a, store_snapshots: true}]"}, [], "store_snapshots"),
+        ],
+    )
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, raw, args, message):
+        entries = {
+            "experiment": "custom",
+            "problem": "{kind: synthetic, n: 40, d: 4, decay: 1.5, seed: 3}",
+            "grid": "[{label: a, method: exact}]",
+            "seeds": "[0]",
+            "output_dir": str(tmp_path / "out"),
+            **raw,
+        }
+        path = tmp_path / "exp.yaml"
+        path.write_text("".join(f"{key}: {val}\n" for key, val in entries.items()))
+        assert main(["run", str(path), *args]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "summary.csv").exists()
 

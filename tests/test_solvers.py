@@ -135,7 +135,7 @@ class TestNewtonDriver:
     def test_subsampled_gradient_mode_progresses_to_noise_floor(self, ls_tiny):
         # stepping with sampled gradients leaves a variance floor, so assert
         # substantial decrease rather than convergence to a tight tolerance
-        cfg = SolverConfig(hessian_method="exact", gradient_mode="subsampled",
+        cfg = SolverConfig(hessian_method="exact",
                            gradient_sample_size=200, max_iters=60,
                            grad_tol=1e-12, seed=4, store_snapshots=False)
         trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
@@ -149,6 +149,34 @@ class TestNewtonDriver:
         assert len(trace.gradients) == len(trace.grad_norms)
 
 
+    def test_gradient_sample_size_alone_samples_the_gradient(self, ls_tiny):
+        # full Newton solves a least-squares problem in one step; a sampled
+        # gradient cannot
+        cfg = SolverConfig(gradient_sample_size=50, max_iters=5, grad_tol=1e-9)
+        trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
+        assert trace.n_steps > 1
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "name, value",
+        [("eps1", "1e-1"), ("sample_size", "1e2"), ("sample_size", 2.5),
+         ("rank", True), ("max_iters", 1.0), ("grad_tol", None)],
+    )
+    def test_wrong_number_type_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be"):
+            SolverConfig(**{name: value})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = SolverConfig(eps1=np.float64(0.1), sample_size=np.int64(20),
+                           max_iters=np.int32(5), sample_fraction=1)
+        assert cfg.sample_size == 20
+
+    def test_snapshots_opt_in(self, ls_tiny):
+        trace = approximate_newton_run(ls_tiny, SolverConfig(max_iters=3), np.ones(4))
+        assert trace.xs == []
+
+
 class TestBaselines:
     def test_full_newton_single_step(self, ls_small):
         trace = approximate_newton_run(ls_small, SolverConfig(grad_tol=1e-8),
@@ -158,11 +186,13 @@ class TestBaselines:
 
     def test_newton_cg_matches_full_newton(self, ls_tiny):
         tr_cg = approximate_newton_run(
-            ls_tiny, SolverConfig(inner="cg", eps1=0.0, max_iters=10, grad_tol=1e-9),
+            ls_tiny, SolverConfig(inner="cg", eps1=0.0, max_iters=10, grad_tol=1e-9,
+                                  store_snapshots=True),
             np.ones(4),
         )
         tr_nt = approximate_newton_run(
-            ls_tiny, SolverConfig(max_iters=10, grad_tol=1e-9), np.ones(4)
+            ls_tiny, SolverConfig(max_iters=10, grad_tol=1e-9, store_snapshots=True),
+            np.ones(4),
         )
         assert tr_cg.n_steps == tr_nt.n_steps
         for a, b in zip(tr_cg.xs, tr_nt.xs):
@@ -173,7 +203,7 @@ class TestBaselines:
         target = np.array([1.0, 1.0])
         obj = least_squares_objective(A, A @ target)
         cfg = SolverConfig(hessian_method="gradient_descent", max_iters=40,
-                           grad_tol=1e-12)
+                           grad_tol=1e-12, store_snapshots=True)
         trace = approximate_newton_run(obj, cfg, np.zeros(2))
         # step 1/L = 1/10: the error in the unit-curvature coordinate
         # contracts by exactly 0.9 per iteration
@@ -233,7 +263,8 @@ class TestQuadraticRegime:
         M = gen.standard_normal((6, 6))
         Q = M @ M.T + 2.0 * np.eye(6)
         obj = QuadraticQuartic(Q, gen.standard_normal(6), c=0.5)
-        trace = approximate_newton_run(obj, SolverConfig(max_iters=30, grad_tol=1e-13),
+        trace = approximate_newton_run(obj, SolverConfig(max_iters=30, grad_tol=1e-13,
+                                                         store_snapshots=True),
                                        0.5 * gen.standard_normal(6))
         assert trace.status == CONVERGED
         # Hessian-layer Lipschitz constant on the visited region
