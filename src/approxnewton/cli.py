@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 configuration error, 2 partial run failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -46,8 +47,8 @@ def _cmd_run(args) -> int:
             )
             if args.seed is not None:
                 cfg.seeds = [args.seed]
-            if args.workers is not None:
-                cfg.workers = args.workers
+            if args.workers is not None:  # replace() checks the new value
+                cfg = dataclasses.replace(cfg, workers=args.workers)
         else:
             print("run: need a config file or --experiment", file=sys.stderr)
             return 1

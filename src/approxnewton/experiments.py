@@ -80,6 +80,7 @@ PRESETS = {
     "newton_cg": {"hessian_method": EXACT, "inner": solvers.INNER_CG},
 }
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+NAME_MAX = 255  # bytes in a file name on common file systems
 
 
 @dataclass
@@ -100,6 +101,9 @@ class ExperimentConfig:
             raise DomainError("grid must not be empty")
         if not self.seeds:
             raise DomainError("seed list must not be empty")
+        solvers.check_number_fields(self)
+        if self.workers is not None and self.workers < 1:
+            raise DomainError(f"workers must be a positive integer, got {self.workers}")
 
 
 @dataclass
@@ -268,11 +272,20 @@ def _check_cell_keys(cfg: ExperimentConfig) -> None:
         unknown = set(cell) - CELL_KEYS
         if unknown:
             raise DomainError(f"unknown cell keys: {sorted(unknown)}")
+        if not isinstance(cell.get("method", ""), str):
+            raise DomainError(f"method must be a string, got {cell['method']!r}")
         if cell.get("method") in PRESETS and "inner" in cell:
             raise DomainError(f"method {cell['method']} fixes the inner solve: {cell}")
         _solver_config(cell, cfg, cfg.seeds[0])
     # a run's output files are named by its label and seed
     labels = [str(_label(cell)) for cell in cfg.grid]
+    seed_digits = max(len(str(seed)) for seed in cfg.seeds)
+    for label in labels:
+        if any(sep and sep in label for sep in (os.sep, os.altsep, "\0")):
+            raise DomainError(f"label {label!r} is not a plain file name")
+        # the longest name a run writes is timing_<label>_s<seed>.csv
+        if len(f"timing_{label}_s.csv".encode()) + seed_digits > NAME_MAX:
+            raise DomainError(f"label {label[:20]!r}... is too long for a file name")
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise DomainError(f"cells share a label: {repeated}")
@@ -368,12 +381,12 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         ("series_label", "t", "residual_mstar"),
         plot_rows,
     )
-    _write_metadata(out_dir, cfg, started, workers, outcomes)
+    _write_metadata(out_dir, cfg, started, workers, outcomes, obj.memo)
     failed = any(o.status.startswith("error:") for o in outcomes)
     return 2 if failed else 0
 
 
-def _write_metadata(out_dir, cfg, started, workers, outcomes) -> None:
+def _write_metadata(out_dir, cfg, started, workers, outcomes, memo=None) -> None:
     # Everything time- or machine-dependent lives here, outside the
     # deterministic CSVs.
     with open(os.path.join(out_dir, "metadata.txt"), "w") as fh:
@@ -387,6 +400,9 @@ def _write_metadata(out_dir, cfg, started, workers, outcomes) -> None:
             if var in os.environ:
                 fh.write(f"{var}: {os.environ[var]}\n")
         fh.write(f"workers: {workers}\n")
+        if memo is not None:
+            for kind, (hits, misses, held) in memo.stats().items():
+                fh.write(f"memo {kind}: hits={hits} misses={misses} bytes={held}\n")
         for o in outcomes:
             fh.write(f"run {o.tag}: total_wall_ms={sum(o.wall_ms):.3f}\n")
         for o in outcomes:

@@ -2,18 +2,25 @@
 
 Objectives expose the average form F(x) = (1/n) * sum_i f_i(x) together with
 per-sample derivatives, so that uniform subsampling of the f_i is unbiased.
-All objectives are immutable after construction and safe to evaluate
-concurrently.
+Every value an objective returns is a pure function of x (and of the data
+it was built on), and objectives are safe to evaluate concurrently.  Behind
+them sits a bounded, thread-safe `CurvatureMemo`: the arrays that the runs
+of one experiment share (the SVM Hessian of a support set, the
+decompositions of a Hessian factor) are computed once while they stay in
+it, and handed out read-only.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict, defaultdict
+from concurrent.futures import Future
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
+from . import rng, sketch
 from .errors import (
     DomainError,
     LabelDomain,
@@ -56,6 +63,96 @@ class DatasetMatrix:
         return self.rows.shape[1]
 
 
+class _Entry:
+    """One memo slot: the value (a future while it is being computed), the
+    factor it keeps alive so that the factor's id names no other array, and
+    the bytes it counts."""
+
+    __slots__ = ("future", "factor", "nbytes")
+
+    def __init__(self, factor):
+        self.future = Future()
+        self.factor = factor
+        self.nbytes = 0
+
+
+class CurvatureMemo:
+    """Least-recently-used store of the curvature arrays one objective hands
+    out, shared by every thread that evaluates it.
+
+    Entries are keyed by a kind and a key.  A value is computed outside the
+    lock by the first thread that asks for it; a thread that asks while it
+    is being computed waits for that result instead of computing it again.
+    Values are handed out read-only rather than copied.  The bytes held are
+    bounded by the objective's own data matrix: an entry counts its value
+    plus the factor it keeps alive (the data matrix itself excepted); an
+    entry larger than `data.nbytes` is not kept, and the least recently
+    used entries go once the total exceeds it.
+    """
+
+    def __init__(self, data: np.ndarray):
+        self._data = data
+        self.max_bytes = data.nbytes
+        self.nbytes = 0
+        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits: defaultdict[str, int] = defaultdict(int)
+        self._misses: defaultdict[str, int] = defaultdict(int)
+
+    def get(self, kind: str, key, compute, factor: np.ndarray | None = None):
+        """The array stored under (kind, key), else `compute()`, stored.
+        `factor` is an array the value was computed from; the entry keeps
+        it alive, which keeps a key of `id(factor)` sound."""
+        slot = (kind, key)
+        with self._lock:
+            entry = self._entries.get(slot)
+            hit = entry is not None
+            if hit:
+                self._entries.move_to_end(slot)
+                self._hits[kind] += 1
+            else:
+                entry = self._entries[slot] = _Entry(factor)
+                self._misses[kind] += 1
+        if hit:
+            return entry.future.result()  # waits while another thread computes
+        try:
+            value = compute()
+        except BaseException as exc:
+            with self._lock:
+                if self._entries.get(slot) is entry:
+                    del self._entries[slot]
+            entry.future.set_exception(exc)
+            raise
+        value.flags.writeable = False
+        nbytes = value.nbytes
+        if factor is not None and factor is not self._data:
+            nbytes += factor.nbytes
+        with self._lock:
+            # unless evicted while it was being computed
+            if self._entries.get(slot) is entry:
+                if nbytes > self.max_bytes:
+                    del self._entries[slot]
+                else:
+                    entry.nbytes = nbytes
+                    self.nbytes += nbytes
+                    while self.nbytes > self.max_bytes:
+                        _, evicted = self._entries.popitem(last=False)
+                        self.nbytes -= evicted.nbytes
+        entry.future.set_result(value)
+        return value
+
+    def stats(self) -> dict[str, tuple[int, int, int]]:
+        """(hits, misses, bytes held) of every kind looked up so far."""
+        with self._lock:
+            held: defaultdict[str, int] = defaultdict(int)
+            for (kind, _), entry in self._entries.items():
+                held[kind] += entry.nbytes
+            return {
+                kind: (self._hits[kind], self._misses[kind], held[kind])
+                for kind in sorted(self._hits.keys() | self._misses.keys())
+            }
+
+
 class FiniteSumObjective:
     """Base interface for F(x) = (1/n) * sum_i f_i(x) (+ optional regularizer).
 
@@ -63,7 +160,8 @@ class FiniteSumObjective:
     of the loss part, and the sampling hooks used by the subsampled Hessian
     and gradient builders.  `K` bounds max_i ||hess f_i(x)||, `sigma` lower
     bounds the smallest eigenvalue of the full Hessian, and `L` upper bounds
-    its largest eigenvalue.
+    its largest eigenvalue.  `memo` holds what the objective's callers
+    share; an objective without one recomputes on every call.
     """
 
     n: int
@@ -72,6 +170,7 @@ class FiniteSumObjective:
     sigma: float
     L: float
     name: str = ""
+    memo: CurvatureMemo | None = None
 
     # -- full derivatives ---------------------------------------------------
     def value(self, x: np.ndarray) -> float:
@@ -86,6 +185,25 @@ class FiniteSumObjective:
     def hessian_factor(self, x: np.ndarray):
         """Matrix B with B.T @ B equal to the full Hessian, or None."""
         return None
+
+    def leverage_scores(self, B: np.ndarray) -> np.ndarray:
+        """`sketch.leverage_scores(B)` of a factor from `hessian_factor`,
+        computed once per factor object while the memo holds it."""
+        return self._decomposition("leverage_scores", B)
+
+    def triangular_factor(self, B: np.ndarray) -> np.ndarray:
+        """`sketch.triangular_factor(B)`, memoized like `leverage_scores`."""
+        return self._decomposition("triangular_factor", B)
+
+    def _decomposition(self, kind: str, B: np.ndarray) -> np.ndarray:
+        # `kind` names the `sketch` function; it is looked up at call time,
+        # so a wrapper installed on the module (a tracer, a test) sees it
+        def compute():
+            return getattr(sketch, kind)(B)
+
+        if self.memo is None:
+            return compute()
+        return self.memo.get(kind, id(B), compute, factor=B)
 
     # -- per-sample loss derivatives ----------------------------------------
     def per_sample_hessian(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -125,11 +243,13 @@ class FiniteSumObjective:
 class LeastSquaresObjective(FiniteSumObjective):
     """F(x) = 0.5 * ||A x - b||^2 with f_i(x) = (n/2) * (a_i.x - b_i)^2.
 
-    The Hessian A.T @ A is constant in x and factors exactly as B = A.
+    The Hessian A.T @ A is constant in x and factors exactly as B = A; both
+    are handed out read-only, so every caller shares one copy.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, name: str = "least-squares"):
-        A = np.asarray(A, dtype=float)
+        A = np.asarray(A, dtype=float).view()  # read-only without a copy
+        A.flags.writeable = False
         b = np.asarray(b, dtype=float).ravel()
         if A.ndim != 2:
             raise ShapeError("A must be a 2-d matrix")
@@ -144,11 +264,13 @@ class LeastSquaresObjective(FiniteSumObjective):
         self._A = A
         self._b = b
         self._hessian = A.T @ A
+        self._hessian.flags.writeable = False
         self._row_sq = np.einsum("ij,ij->i", A, A)
         self.sigma = float(svals[-1] ** 2)
         self.L = float(svals[0] ** 2)
         self.K = float(self.n * self._row_sq.max())
         self.name = name
+        self.memo = CurvatureMemo(A)
 
     def value(self, x):
         x = self._check_x(x)
@@ -160,7 +282,7 @@ class LeastSquaresObjective(FiniteSumObjective):
         return self._A.T @ (self._A @ x - self._b)
 
     def full_hessian(self, x):
-        return self._hessian.copy()
+        return self._hessian
 
     def hessian_factor(self, x):
         return self._A
@@ -184,6 +306,13 @@ class LeastSquaresObjective(FiniteSumObjective):
         return self.n * (sub.T @ resid) / len(indices)
 
 
+class _SvmPoint(NamedTuple):
+    x_key: bytes  # the bytes of x
+    margins: np.ndarray
+    support: np.ndarray
+    support_key: bytes  # packed membership bits of the support set
+
+
 class SvmHinge2Objective(FiniteSumObjective):
     """Primal linear SVM with squared hinge loss.
 
@@ -196,9 +325,12 @@ class SvmHinge2Objective(FiniteSumObjective):
     quantities cover the loss part only, and subsampling draws from the
     support-vector set.
 
-    The root of a draw is scaled by the support-set size.  Each thread keeps
-    the size of the last pool it was handed out, with the x it belongs to,
-    so that the root of that draw costs no second n x d margin pass.
+    Everything at one x rests on one n x d pass for the margins: each
+    thread keeps the margins and support set of the last x it evaluated, so
+    the gradient, sample pool, sampled root and Hessian at that x share it.
+    The Hessian and its factor depend on the support set alone, and are
+    memoized under it (its membership bits), so runs that revisit a set
+    reuse them.
     """
 
     def __init__(self, data: DatasetMatrix, C: float = 1.0):
@@ -217,50 +349,68 @@ class SvmHinge2Objective(FiniteSumObjective):
         smax = np.linalg.svd(self._A, compute_uv=False)[0]
         self.L = float(1.0 + self.C * smax**2 / self.n)
         self.name = data.name or "svm-hinge2"
-        self._last_pool = threading.local()
+        self.memo = CurvatureMemo(self._A)
+        self._last = threading.local()
 
-    def _margins(self, x):
-        return self._b * (self._A @ x)
+    def _at(self, x) -> _SvmPoint:
+        """Margins and support set at x, from this thread's last x if it is
+        the same one."""
+        x = self._check_x(x)
+        key = x.tobytes()
+        point = getattr(self._last, "point", None)
+        if point is None or point.x_key != key:
+            margins = self._b * (self._A @ x)
+            below = margins < 1.0
+            support = np.flatnonzero(below)
+            support.flags.writeable = False
+            point = _SvmPoint(key, margins, support, np.packbits(below).tobytes())
+            self._last.point = point
+        return point
 
     def support_indices(self, x) -> np.ndarray:
         """Indices of the support vectors at x (margin strictly below 1)."""
-        x = self._check_x(x)
-        return np.flatnonzero(self._margins(x) < 1.0)
+        return self._at(x).support
 
     def min_kink_distance(self, x) -> float:
         """Smallest |1 - margin_i|; zero means x sits on a hinge kink."""
-        x = self._check_x(x)
-        return float(np.abs(1.0 - self._margins(x)).min())
+        return float(np.abs(1.0 - self._at(x).margins).min())
 
     def value(self, x):
         x = self._check_x(x)
-        slack = np.maximum(0.0, 1.0 - self._margins(x))
+        slack = np.maximum(0.0, 1.0 - self._at(x).margins)
         return 0.5 * float(x @ x) + self.C / (2 * self.n) * float(slack @ slack)
 
     def gradient(self, x):
         x = self._check_x(x)
-        slack = np.maximum(0.0, 1.0 - self._margins(x))
+        slack = np.maximum(0.0, 1.0 - self._at(x).margins)
         return x - (self.C / self.n) * (self._A.T @ (self._b * slack))
 
     def full_hessian(self, x):
-        x = self._check_x(x)
-        sv = self._A[self.support_indices(x)]
-        return np.eye(self.d) + (self.C / self.n) * (sv.T @ sv)
+        point = self._at(x)
+
+        def compute():
+            sv = self._A[point.support]
+            return np.eye(self.d) + (self.C / self.n) * (sv.T @ sv)
+
+        return self.memo.get("full_hessian", point.support_key, compute)
 
     def hessian_factor(self, x):
-        sv = self._A[self.support_indices(x)]
-        return np.vstack([np.sqrt(self.C / self.n) * sv, np.eye(self.d)])
+        point = self._at(x)
+
+        def compute():
+            sv = self._A[point.support]
+            return np.vstack([np.sqrt(self.C / self.n) * sv, np.eye(self.d)])
+
+        return self.memo.get("hessian_factor", point.support_key, compute)
 
     def per_sample_hessian(self, i, x):
-        x = self._check_x(x)
-        if self._margins(x)[i] < 1.0:
+        if self._at(x).margins[i] < 1.0:
             a = self._A[i]
             return self.C * np.outer(a, a)
         return np.zeros((self.d, self.d))
 
     def per_sample_gradient(self, i, x):
-        x = self._check_x(x)
-        slack = max(0.0, 1.0 - self._margins(x)[i])
+        slack = max(0.0, 1.0 - self._at(x).margins[i])
         return -self.C * slack * self._b[i] * self._A[i]
 
     regularizer_scale = 1.0  # the ridge term 0.5 * ||x||^2
@@ -269,16 +419,10 @@ class SvmHinge2Objective(FiniteSumObjective):
         return self._check_x(x).copy()
 
     def hessian_sample_pool(self, x):
-        x = self._check_x(x)
-        pool = self.support_indices(x)
-        self._last_pool.size_at = (x.tobytes(), pool.shape[0])
-        return pool
+        return self._at(x).support
 
     def hessian_term_root(self, indices, x):
-        x = self._check_x(x)
-        key, n_sv = getattr(self._last_pool, "size_at", (None, 0))
-        if key != x.tobytes():
-            n_sv = self.support_indices(x).shape[0]
+        n_sv = self._at(x).support.shape[0]
         return np.sqrt(self.C * n_sv / self.n) * self._A[indices]
 
     def loss_gradient_mean(self, indices, x):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import rng, sketch
+from . import rng
 from .errors import DomainError, NotPositiveDefinite, ShapeError
 from .hessian_approx import (
     EXACT,
@@ -72,6 +72,21 @@ _NUMBER_FIELDS = {
 }
 
 
+def check_number_fields(config) -> None:
+    """Raise DomainError unless every field of the dataclass instance that
+    is annotated `int` or `float` (optionally `| None`) holds a number of
+    that kind; `bool` is not an integer here, numpy scalars are."""
+    # annotations are strings here (postponed evaluation), e.g. "int | None"
+    for f in fields(config):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(config, f.name)
+        if kind not in _NUMBER_FIELDS or (value is None and optional):
+            continue
+        cls, what = _NUMBER_FIELDS[kind]
+        if isinstance(value, bool) or not isinstance(value, cls):
+            raise DomainError(f"{f.name} must be {what}, got {value!r}")
+
+
 @dataclass
 class SolverConfig:
     """Configuration of one approximate-Newton run.
@@ -105,15 +120,7 @@ class SolverConfig:
     store_snapshots: bool = False
 
     def __post_init__(self):
-        # annotations are strings here (postponed evaluation), e.g. "int | None"
-        for f in fields(self):
-            kind, _, optional = f.type.partition(" | ")
-            value = getattr(self, f.name)
-            if kind not in _NUMBER_FIELDS or (value is None and optional):
-                continue
-            cls, what = _NUMBER_FIELDS[kind]
-            if isinstance(value, bool) or not isinstance(value, cls):
-                raise DomainError(f"{f.name} must be {what}, got {value!r}")
+        check_number_fields(self)
         if not 0.0 <= self.eps1 < 1.0:
             raise DomainError(f"eps1 must be in [0,1), got {self.eps1}")
         if self.grad_tol <= 0 or self.max_iters < 1:
@@ -247,35 +254,7 @@ def _resolve_sample_size(cfg: SolverConfig, pool: np.ndarray) -> int:
     return cfg.sample_size
 
 
-class _FactorMemo:
-    """Decompositions of the last Hessian factor of a run, each computed on
-    first use.  The memo holds the factor itself, so an identity test tells
-    whether `obj.hessian_factor(x)` returned the same matrix; a different
-    object clears it."""
-
-    def __init__(self):
-        self.factor = None
-        self._scores = None
-        self._triangular = None
-
-    def bind(self, B: np.ndarray) -> None:
-        if B is not self.factor:
-            self.factor, self._scores, self._triangular = B, None, None
-
-    def leverage_scores(self) -> np.ndarray:
-        if self._scores is None:
-            self._scores = sketch.leverage_scores(self.factor)
-        return self._scores
-
-    def triangular(self) -> np.ndarray:
-        if self._triangular is None:
-            self._triangular = sketch.triangular_factor(self.factor)
-        return self._triangular
-
-
-def _build_hessian(
-    obj, x, cfg: SolverConfig, t: int, eps0_t: float, memo: _FactorMemo
-) -> ApproxHessian:
+def _build_hessian(obj, x, cfg: SolverConfig, t: int, eps0_t: float) -> ApproxHessian:
     seed_t = rng.child_seed(cfg.seed, 1, t)
     method = cfg.hessian_method
     if method == EXACT:
@@ -296,13 +275,13 @@ def _build_hessian(
                 size = tracking_sketch_size(cfg.sketch_kind, obj.d, eps0_t)
             else:
                 size = recommended_sketch_size(cfg.sketch_kind, obj.d, eps0_t)
-        memo.bind(B)
+        # the objective's memo decomposes each factor once per experiment
         if cfg.sketch_kind == LEVERAGE_SCORE:
-            S = make_leverage_sketch(B, size, seed_t, scores=memo.leverage_scores())
+            S = make_leverage_sketch(B, size, seed_t, scores=obj.leverage_scores(B))
         elif cfg.sketch_kind == GAUSSIAN:
             # B = Q R and S Q is again i.i.d. N(0, 1/s) (rotation invariance),
             # so S R has the law of S B and (S R)^T S R that of (S B)^T S B.
-            B = memo.triangular()
+            B = obj.triangular_factor(B)
             S = make_oblivious_sketch(GAUSSIAN, size, B.shape[0], seed_t)
         else:
             S = make_oblivious_sketch(cfg.sketch_kind, size, B.shape[0], seed_t)
@@ -340,7 +319,6 @@ def approximate_newton_run(
         raise DomainError("x0 must be finite")
     kappa = condition_bound(obj)
     trace = IterationTrace()
-    memo = _FactorMemo()
     while True:
         g_full = obj.gradient(x)
         gnorm = float(np.linalg.norm(g_full))
@@ -367,7 +345,7 @@ def approximate_newton_run(
             eps0_t = superlinear_schedule(t)
         else:
             eps0_t = cfg.eps0
-        H = _build_hessian(obj, x, cfg, t, eps0_t, memo)
+        H = _build_hessian(obj, x, cfg, t, eps0_t)
         if cfg.gradient_sample_size is not None:
             g_step = subsampled_gradient(
                 obj, x, cfg.gradient_sample_size, rng.child_seed(cfg.seed, 2, t)

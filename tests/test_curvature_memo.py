@@ -1,0 +1,271 @@
+"""The objectives' curvature memo: exact, read-only, bounded and shared.
+
+A warm objective, one that has already evaluated other points, must return
+what a freshly built objective returns at the same x, bit for bit, whatever
+order the points and the methods are visited in.  The arrays it hands out
+are read-only, the bytes it holds never exceed its data matrix, and a
+factor is decomposed once for every run on the objective.
+"""
+
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from approxnewton import (
+    approximate_newton_run,
+    least_squares_objective,
+    sketch,
+    svm_hinge2_objective,
+    synthetic_two_class,
+)
+from approxnewton.problems import CurvatureMemo
+from approxnewton.solvers import SolverConfig
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+SVM_DATA = synthetic_two_class(80, 5, seed=3, separation=2.0)
+LS_A = np.random.Generator(np.random.Philox(key=31)).standard_normal((60, 5))
+LS_B = np.random.Generator(np.random.Philox(key=32)).standard_normal(60)
+TERM_ROWS = np.array([0, 3, 3, 17])
+
+
+def svm():
+    return svm_hinge2_objective(SVM_DATA, C=4.0)
+
+
+def least_squares():
+    return least_squares_objective(LS_A, LS_B)
+
+
+def _factor(obj, x):
+    return obj.hessian_factor(x)
+
+
+# every array-valued quantity the memo stands behind, as a function of x
+QUANTITIES = {
+    "gradient": lambda obj, x: obj.gradient(x),
+    "full_hessian": lambda obj, x: obj.full_hessian(x),
+    "hessian_factor": _factor,
+    "hessian_term_root": lambda obj, x: obj.hessian_term_root(TERM_ROWS, x),
+    "leverage_scores": lambda obj, x: obj.leverage_scores(_factor(obj, x)),
+    "triangular_factor": lambda obj, x: obj.triangular_factor(_factor(obj, x)),
+}
+SVM_QUANTITIES = dict(
+    QUANTITIES,
+    support_indices=lambda obj, x: obj.support_indices(x),
+    hessian_sample_pool=lambda obj, x: obj.hessian_sample_pool(x),
+)
+READ_ONLY = ("full_hessian", "hessian_factor", "leverage_scores",
+             "triangular_factor", "support_indices", "hessian_sample_pool")
+
+
+@st.composite
+def visits(draw, quantities):
+    """A walk over a few points, with repeats, each visit asking for the
+    quantities in its own order.  Points are scaled Gaussians, so the SVM
+    support set differs between them, and some are nudged copies of
+    another, so two points can share a support set."""
+    n_points = draw(st.integers(1, 4))
+    gen = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**32 - 1))))
+    points = [draw(st.sampled_from([0.0, 0.3, 1.0, 3.0])) * gen.standard_normal(5)
+              for _ in range(n_points)]
+    points += [p * (1.0 + 1e-9) for p in points[: draw(st.integers(0, n_points))]]
+    names = st.permutations(sorted(quantities))
+    walk = st.lists(st.tuples(st.integers(0, len(points) - 1), names),
+                    min_size=1, max_size=10)
+    return [(points[i], order) for i, order in draw(walk)]
+
+
+def _check_walk(build, quantities, walk):
+    warm = build()
+    for x, order in walk:
+        fresh = build()
+        for name in order:
+            got, want = quantities[name](warm, x), quantities[name](fresh, x)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert np.array_equal(got, want), name
+        assert warm.memo.nbytes <= warm.memo.max_bytes
+
+
+class TestWarmEqualsFresh:
+    @PROPERTY
+    @given(visits(SVM_QUANTITIES))
+    def test_svm(self, walk):
+        _check_walk(svm, SVM_QUANTITIES, walk)
+
+    @PROPERTY
+    @given(visits(QUANTITIES))
+    def test_least_squares(self, walk):
+        _check_walk(least_squares, QUANTITIES, walk)
+
+    def test_svm_hessian_shared_by_points_with_one_support_set(self):
+        obj = svm()
+        x = -obj.gradient(np.zeros(obj.d))  # a support set small enough to keep
+        y = x * (1.0 + 1e-9)
+        assert 0 < obj.support_indices(x).size < obj.n / 2
+        assert np.array_equal(obj.support_indices(x), obj.support_indices(y))
+        assert obj.full_hessian(x) is obj.full_hessian(y)
+        assert obj.hessian_factor(x) is obj.hessian_factor(y)
+
+
+@pytest.mark.parametrize("build, quantities", [(svm, SVM_QUANTITIES),
+                                               (least_squares, QUANTITIES)])
+def test_handed_out_arrays_are_read_only(build, quantities):
+    obj = build()
+    x = np.full(5, 0.1)
+    for name in READ_ONLY:
+        if name not in quantities:
+            continue
+        value = quantities[name](obj, x)
+        assert not value.flags.writeable, name
+        with pytest.raises(ValueError):
+            value[0] = 1.0
+
+
+def test_least_squares_keeps_caller_matrix_writable():
+    A = LS_A.copy()
+    obj = least_squares_objective(A, LS_B)
+    assert A.flags.writeable
+    assert np.shares_memory(obj.hessian_factor(None), A)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=25))
+def test_bytes_held_never_exceed_data_matrix(keys):
+    # 24 rows of 12 columns: each 12 x 12 Hessian is a third of the data
+    # matrix, so the memo has to evict as the walk meets new support sets
+    data = synthetic_two_class(24, 12, seed=1, separation=1.0)
+    obj = svm_hinge2_objective(data, C=2.0)
+    for key in keys:
+        x = np.random.Generator(np.random.Philox(key=key)).standard_normal(12)
+        obj.full_hessian(x)
+        obj.leverage_scores(obj.hessian_factor(x))
+        held = sum(nbytes for _, _, nbytes in obj.memo.stats().values())
+        assert held == obj.memo.nbytes <= obj.memo.max_bytes == data.rows.nbytes
+
+
+class TestCurvatureMemo:
+    def test_least_recently_used_entry_goes_first(self):
+        memo = CurvatureMemo(np.zeros(10))  # room for 80 bytes
+        calls = []
+
+        def value(name):
+            def compute():
+                calls.append(name)
+                return np.zeros(4)  # 32 bytes
+            return compute
+
+        memo.get("k", "a", value("a"))
+        memo.get("k", "b", value("b"))
+        memo.get("k", "a", value("a"))  # hit: "b" is now the oldest
+        memo.get("k", "c", value("c"))  # 96 bytes: "b" goes
+        memo.get("k", "a", value("a"))
+        memo.get("k", "b", value("b"))
+        assert calls == ["a", "b", "c", "b"]
+        assert memo.stats() == {"k": (2, 4, 64)}
+
+    def test_factor_counts_unless_it_is_the_data(self):
+        data = np.zeros(100)
+        memo = CurvatureMemo(data)
+        other = np.zeros(20)
+        memo.get("own", id(data), lambda: np.zeros(2), factor=data)
+        memo.get("other", id(other), lambda: np.zeros(2), factor=other)
+        assert memo.stats() == {"other": (0, 1, 16 + 160), "own": (0, 1, 16)}
+
+    def test_entry_larger_than_bound_is_not_kept_and_evicts_nothing(self):
+        memo = CurvatureMemo(np.zeros(2))
+        memo.get("k", "small", lambda: np.zeros(1))
+        large = memo.get("k", "large", lambda: np.zeros(3))
+        assert not large.flags.writeable
+        assert memo.stats() == {"k": (0, 2, 8)}
+        assert memo.get("k", "large", lambda: np.ones(3))[0] == 1.0
+
+    def test_concurrent_misses_compute_once(self):
+        memo = CurvatureMemo(np.zeros(100))
+        release = threading.Event()
+        calls = []
+
+        def compute():
+            calls.append(1)
+            release.wait(10)
+            return np.arange(3.0)
+
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(memo.get("k", 0, compute)))
+                   for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while memo.stats().get("k", (0, 0, 0))[:2] != (3, 1):
+            assert time.monotonic() < deadline, memo.stats()
+            time.sleep(0.001)
+        release.set()
+        for thread in threads:
+            thread.join(10)
+            assert not thread.is_alive()
+        assert len(calls) == 1 and len(results) == 4
+        assert all(r is results[0] for r in results)
+
+    def test_stress_keeps_byte_count_and_values(self):
+        # more threads than cores, switching every microsecond, on a memo
+        # that holds 4 of the 12 keys: a lost update of the byte count or
+        # a value handed out under the wrong key shows
+        memo = CurvatureMemo(np.zeros(16))
+
+        def work(seed):
+            gen = np.random.Generator(np.random.Philox(key=seed))
+            for key in gen.integers(0, 12, size=400):
+                value = memo.get("k", int(key), lambda k=int(key): np.full(4, float(k)))
+                assert np.array_equal(value, np.full(4, float(key)))
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, seed) for seed in range(8)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        hits, misses, held = memo.stats()["k"]
+        assert hits + misses == 8 * 400
+        assert held == memo.nbytes <= memo.max_bytes
+
+    def test_failed_compute_is_not_stored(self):
+        memo = CurvatureMemo(np.zeros(100))
+
+        def fail():
+            raise np.linalg.LinAlgError("no")
+
+        with pytest.raises(np.linalg.LinAlgError):
+            memo.get("k", 0, fail)
+        assert memo.nbytes == 0
+        assert memo.get("k", 0, lambda: np.ones(2))[0] == 1.0
+
+
+@pytest.mark.parametrize("kind, name", [("leverage_score", "leverage_scores"),
+                                        ("gaussian", "triangular_factor")])
+def test_runs_on_one_objective_decompose_the_factor_once(monkeypatch, kind, name):
+    seen = []
+    original = getattr(sketch, name)
+    monkeypatch.setattr(sketch, name, lambda B: seen.append(B) or original(B))
+    obj = least_squares()
+    for seed in (0, 1):
+        cfg = SolverConfig(hessian_method="sketched", sketch_kind=kind,
+                           sketch_size=40, max_iters=3, grad_tol=1e-300, seed=seed)
+        assert approximate_newton_run(obj, cfg, np.zeros(obj.d)).n_steps == 3
+    assert len(seen) == 1 and seen[0] is obj.hessian_factor(None)
+
+
+def test_objective_without_memo_recomputes():
+    obj = least_squares()
+    obj.memo = None
+    B = obj.hessian_factor(None)
+    first, second = obj.leverage_scores(B), obj.leverage_scores(B)
+    assert first is not second and np.array_equal(first, second)

@@ -170,6 +170,54 @@ class TestRunExperiment:
             tmp_path / "parallel/summary.csv"
         )
 
+    @pytest.mark.parametrize(
+        "problem, grid",
+        [
+            ({"kind": "two_class", "n": 300, "d": 6, "seed": 4,
+              "separation": 3.0, "C": 20.0},
+             [{"label": "newton", "method": "exact"},
+              {"label": "newton-cg", "method": "newton_cg", "eps1": 0.1},
+              {"label": "sub", "method": "subsampled", "sample_fraction": 0.2},
+              {"label": "lev", "method": "sketched",
+               "sketch_kind": "leverage_score", "sketch_size": 120}]),
+            ({"kind": "synthetic", "n": 400, "d": 6, "decay": 1.3, "seed": 5},
+             [{"label": "gauss", "method": "sketched", "sketch_kind": "gaussian",
+               "sketch_size": 60},
+              {"label": "lev", "method": "sketched",
+               "sketch_kind": "leverage_score", "sketch_size": 60},
+              {"label": "sparse", "method": "sketched",
+               "sketch_kind": "sparse_embedding", "sketch_size": 150},
+              {"label": "newton", "method": "exact"}]),
+        ],
+        ids=["svm", "least_squares"],
+    )
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, problem, grid):
+        # the runs of one experiment share the objective's curvature memo
+        outputs = []
+        for workers in (1, 2, 4):
+            cfg = tiny_config(tmp_path / f"w{workers}")
+            cfg.problem, cfg.grid, cfg.workers, cfg.max_iters = problem, grid, workers, 40
+            assert run_experiment(cfg) == 0
+            names = sorted(n for n in os.listdir(cfg.output_dir)
+                           if n == "summary.csv" or n.startswith("trace_"))
+            outputs.append({n: read(os.path.join(cfg.output_dir, n)) for n in names})
+        assert len(outputs[0]) == 1 + 2 * len(grid)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_metadata_records_memo_reuse(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cfg.grid = [{"label": "lev", "method": "sketched",
+                     "sketch_kind": "leverage_score", "sketch_size": 20}]
+        assert run_experiment(cfg) == 0
+        memo = [line for line in read(tmp_path / "metadata.txt").splitlines()
+                if line.startswith("memo ")]
+        assert len(memo) == 1
+        kind, counts = memo[0].split(": ")
+        hits, misses, held = (int(part.split("=")[1]) for part in counts.split())
+        # both seeds' runs share one decomposition of the constant factor
+        assert kind == "memo leverage_scores" and misses == 1 and hits >= 1
+        assert held == 60 * 8
+
     def test_linalg_error_in_one_cell_recorded_other_cell_finishes(
         self, tmp_path, monkeypatch
     ):
@@ -273,6 +321,22 @@ class TestRunExperiment:
             run_experiment(cfg)
         assert not (tmp_path / "summary.csv").exists()
 
+    @pytest.mark.parametrize(
+        "cell, match",
+        [
+            ({"label": "a/b", "method": "exact"}, "not a plain file name"),
+            ({"label": "x" * 250, "method": "exact"}, "too long"),
+            ({"label": "a", "method": ["exact"]}, "method must be a string"),
+            ({"method": {"exact": 1}}, "method must be a string"),
+        ],
+    )
+    def test_bad_label_or_method_rejected(self, tmp_path, cell, match):
+        cfg = tiny_config(tmp_path)
+        cfg.grid = [cell]
+        with pytest.raises(DomainError, match=match):
+            run_experiment(cfg)
+        assert not (tmp_path / "summary.csv").exists()
+
     def test_preset_with_inner_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path)
         cfg.grid = [{"label": "cg", "method": "newton_cg", "inner": "exact"}]
@@ -347,6 +411,23 @@ class TestConfigFile:
             ExperimentConfig(
                 experiment="custom", problem={}, grid=[], seeds=[0],
                 output_dir="x",
+            )
+
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"workers": "2"}, "workers must be an integer"),
+            ({"workers": 0}, "workers must be a positive integer"),
+            ({"workers": True}, "workers must be an integer"),
+            ({"max_iters": 2.5}, "max_iters must be an integer"),
+            ({"grad_tol": "1e-8"}, "grad_tol must be a number"),
+        ],
+    )
+    def test_wrong_type_of_run_setting_rejected(self, setting, match):
+        with pytest.raises(DomainError, match=match):
+            ExperimentConfig(
+                experiment="custom", problem={}, grid=[{"method": "exact"}],
+                seeds=[0], output_dir="x", **setting,
             )
 
     def test_default_configs_construct(self, tmp_path):
@@ -492,6 +573,10 @@ class TestCli:
             ({"grid": "[{label: a, gradient_mode: subsampled, "
                       "gradient_sample_size: 20}]"}, [], "gradient_mode"),
             ({"grid": "[{label: a, store_snapshots: true}]"}, [], "store_snapshots"),
+            ({"grid": "[{label: a/b, method: exact}]"}, [], "not a plain file name"),
+            ({"grid": f"[{{label: {'x' * 250}, method: exact}}]"}, [], "too long"),
+            ({"workers": "'2'"}, [], "workers must be an integer, got '2'"),
+            ({"grid": "[{method: [exact]}]"}, [], "method must be a string"),
         ],
     )
     def test_bad_setting_is_config_error(self, tmp_path, capsys, raw, args, message):
@@ -511,6 +596,15 @@ class TestCli:
         assert message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_builtin_experiment_with_zero_workers_is_config_error(self, tmp_path,
+                                                                   capsys):
+        args = ["run", "--experiment", "lipschitz_free", "--workers", "0",
+                "--out", str(tmp_path)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: workers must be a positive integer, got 0\n"
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_plot_subcommand(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, seeds=(0,))
