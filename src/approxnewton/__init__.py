@@ -28,7 +28,6 @@ from .hessian_approx import (
     epsilon0_regularized,
     gradient_descent_hessian,
     newsamp_hessian,
-    regularized_subsampled_hessian,
     sketched_hessian,
     subsampled_gradient,
     subsampled_hessian,

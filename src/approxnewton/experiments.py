@@ -265,6 +265,8 @@ def _check_embedding_config(cfg: ExperimentConfig) -> None:
             raise DomainError(f"unknown embedding cell keys: {sorted(unknown)}")
         if "sketch_kind" not in cell:
             raise DomainError(f"embedding cell {cell} has no sketch_kind")
+        if cell["sketch_kind"] not in sketch.ALL_KINDS:
+            raise DomainError(f"unknown sketch kind {cell['sketch_kind']!r}")
 
 
 def _check_cell_keys(cfg: ExperimentConfig) -> None:
@@ -294,7 +296,6 @@ def _check_cell_keys(cfg: ExperimentConfig) -> None:
 
 
 def _run_embedding_check(cfg: ExperimentConfig, out_dir: str) -> int:
-    _check_embedding_config(cfg)
     problem = cfg.problem
     d = problem.get("d", 10)
     m = problem.get("m", 40 * d)
@@ -326,27 +327,28 @@ def _run_embedding_check(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run every grid cell at every seed; write traces, summary, plot data."""
+    embedding = cfg.experiment == EMBEDDING_CHECK
+    if embedding:
+        _check_embedding_config(cfg)
+    else:
+        _check_cell_keys(cfg)
     out_dir = cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     started = time.time()
-    if cfg.experiment == EMBEDDING_CHECK:
+    if embedding:
         code = _run_embedding_check(cfg, out_dir)
         _write_metadata(out_dir, cfg, started, 1, [])
         return code
 
-    _check_cell_keys(cfg)
     obj = build_objective(cfg.problem)
     ref = metrics.compute_mstar_reference(obj, np.zeros(obj.d))
 
     jobs = [(cell, seed) for cell in cfg.grid for seed in cfg.seeds]
     workers = cfg.workers or min(os.cpu_count() or 1, len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda js: run_cell(obj, ref, js[0], cfg, js[1]), jobs)
-            )
-    else:
-        outcomes = [run_cell(obj, ref, cell, cfg, seed) for cell, seed in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(
+            pool.map(lambda js: run_cell(obj, ref, js[0], cfg, js[1]), jobs)
+        )
 
     summary_rows = []
     plot_rows = []

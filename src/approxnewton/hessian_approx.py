@@ -30,6 +30,7 @@ SUBSAMPLED = "subsampled"
 REGULARIZED = "regularized_subsampled"
 NEWSAMP = "newsamp"
 GRADIENT_DESCENT = "gradient_descent"
+METHODS = (EXACT, SKETCHED, SUBSAMPLED, REGULARIZED, NEWSAMP, GRADIENT_DESCENT)
 
 
 def _symmetrized(M: np.ndarray) -> np.ndarray:
@@ -61,9 +62,6 @@ class _Dense:
 
     def dense(self):
         return self.M
-
-    def shifted(self, c):
-        return _Dense(self.M + c * np.eye(self.d))
 
 
 class _RootPlusShift:
@@ -97,9 +95,6 @@ class _RootPlusShift:
 
     def dense(self):
         return _symmetrized(self.R.T @ self.R / self.k + self.c * np.eye(self.d))
-
-    def shifted(self, c):
-        return _RootPlusShift(self.R, self.k, self.c + c)
 
 
 class _FlooredSpectrum:
@@ -165,10 +160,6 @@ class ApproxHessian:
     def solve(self, g: np.ndarray) -> np.ndarray:
         return self._form.solve(g)
 
-    def shifted(self, c: float, method: str, meta: dict) -> ApproxHessian:
-        """The surrogate H + c I."""
-        return ApproxHessian(self._form.shifted(c), method, meta)
-
 
 @dataclass
 class SandwichReport:
@@ -206,18 +197,16 @@ def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:
     return _root_plus_shift(SB, 1, 0.0, SKETCHED, meta)
 
 
-def _sampled_root(obj, x, size: int, seed: int, exhaustive: bool, pool):
+def _sampled_root(obj, x, size: int, seed: int, pool):
     """Root R, divisor k and shift c of the subsampled Hessian R^T R / k + c I,
     with its metadata.  `pool` is `obj.hessian_sample_pool(x)` when the
     caller already has it."""
+    if size < 1:
+        raise ShapeError(f"sample size must be >= 1, got {size}")
     c = float(obj.regularizer_scale)
     if pool is None:
         pool = obj.hessian_sample_pool(x)
-    if exhaustive:
-        idx = pool
-    elif size < 1:
-        raise ShapeError(f"sample size must be >= 1, got {size}")
-    elif pool.size == 0:
+    if pool.size == 0:
         idx = pool
     else:
         idx = pool[rng.generator(seed).integers(0, pool.size, size=size)]
@@ -225,7 +214,7 @@ def _sampled_root(obj, x, size: int, seed: int, exhaustive: bool, pool):
         R = obj.hessian_term_root(idx, x)
     else:
         R = np.zeros((0, obj.d))
-    meta = {"size": int(idx.size), "seed": seed, "exhaustive": exhaustive}
+    meta = {"size": int(idx.size), "seed": seed}
     return R, max(idx.size, 1), c, meta
 
 
@@ -234,34 +223,23 @@ def subsampled_hessian(
     x: np.ndarray,
     size: int,
     seed: int,
-    exhaustive: bool = False,
+    alpha: float = 0.0,
     pool: np.ndarray | None = None,
 ) -> ApproxHessian:
     """Mean of `size` per-sample loss Hessians (uniform, with replacement)
     plus the objective's split-out regularizer Hessian `regularizer_scale * I`.
 
-    With exhaustive=True every pool index is used exactly once, which
-    reproduces the full Hessian; this mode exists for testing only.
+    A positive `alpha` adds `alpha * I` on top, which guarantees
+    lambda_min >= alpha: the regularized subsampled Hessian.
     """
+    if not alpha >= 0:
+        raise DomainError(f"alpha must be >= 0, got {alpha}")
     x = np.asarray(x, dtype=float)
-    R, k, c, meta = _sampled_root(obj, x, size, seed, exhaustive, pool)
+    R, k, c, meta = _sampled_root(obj, x, size, seed, pool)
+    if alpha > 0:
+        meta["alpha"] = float(alpha)
+        return _root_plus_shift(R, k, c + alpha, REGULARIZED, meta)
     return _root_plus_shift(R, k, c, SUBSAMPLED, meta)
-
-
-def regularized_subsampled_hessian(
-    obj: FiniteSumObjective,
-    x: np.ndarray,
-    size: int,
-    alpha: float,
-    seed: int,
-    exhaustive: bool = False,
-    pool: np.ndarray | None = None,
-) -> ApproxHessian:
-    """Subsampled Hessian plus alpha * I, so lambda_min >= alpha is guaranteed."""
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    base = subsampled_hessian(obj, x, size, seed, exhaustive=exhaustive, pool=pool)
-    return base.shifted(alpha, REGULARIZED, dict(base.meta, alpha=float(alpha)))
 
 
 def newsamp_hessian(
@@ -270,7 +248,6 @@ def newsamp_hessian(
     size: int,
     r: int,
     seed: int,
-    exhaustive: bool = False,
     pool: np.ndarray | None = None,
 ) -> ApproxHessian:
     """Subsampled Hessian with its eigenvalue tail floored.
@@ -284,7 +261,7 @@ def newsamp_hessian(
     if not 0 <= r < obj.d:
         raise DomainError(f"need 0 <= r < d={obj.d}, got r={r}")
     x = np.asarray(x, dtype=float)
-    R, k, c, meta = _sampled_root(obj, x, size, seed, exhaustive, pool)
+    R, k, c, meta = _sampled_root(obj, x, size, seed, pool)
     if r >= R.shape[0]:
         raise DomainError(
             f"rank r={r} needs a sampled root of more than r rows, got {R.shape[0]}"

@@ -31,20 +31,19 @@ from .errors import DomainError, NotPositiveDefinite, ShapeError
 from .hessian_approx import (
     EXACT,
     GRADIENT_DESCENT,
+    METHODS,
     NEWSAMP,
-    REGULARIZED,
     SKETCHED,
-    SUBSAMPLED,
     ApproxHessian,
     gradient_descent_hessian,
     newsamp_hessian,
-    regularized_subsampled_hessian,
     sketched_hessian,
     subsampled_gradient,
     subsampled_hessian,
 )
 from .problems import FiniteSumObjective
 from .sketch import (
+    ALL_KINDS,
     GAUSSIAN,
     LEVERAGE_SCORE,
     make_leverage_sketch,
@@ -92,7 +91,9 @@ class SolverConfig:
     """Configuration of one approximate-Newton run.
 
     `hessian_method` picks the surrogate builder; the sketch_*/sample_*/
-    alpha/rank fields parameterize it.  `sample_fraction` resizes the draw to
+    alpha/rank fields parameterize it, and `alpha` adds `alpha I` to either
+    sampled surrogate.  A value out of its range raises `DomainError` here,
+    before any run.  `sample_fraction` resizes the draw to
     a fraction of the current sampling pool (used for the sample-a-share-of-
     support-vectors protocol).  When `sketch_size` is None the sketch size is
     derived from the accuracy target eps0 of the active schedule.  A step
@@ -121,6 +122,28 @@ class SolverConfig:
 
     def __post_init__(self):
         check_number_fields(self)
+        for name, allowed in (
+            ("hessian_method", METHODS),
+            ("inner", (INNER_EXACT, INNER_CG)),
+            ("eps0_schedule", (SCHEDULE_CONSTANT, SCHEDULE_LOG_DECAY)),
+            ("sketch_kind", (None, *ALL_KINDS)),
+        ):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise DomainError(f"unknown {name} {value!r}, not one of {allowed}")
+        for name in ("sketch_size", "sample_size", "gradient_sample_size"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise DomainError(f"{name} must be >= 1, got {value}")
+        fraction = self.sample_fraction
+        if fraction is not None and not 0.0 < fraction <= 1.0:
+            raise DomainError(f"sample_fraction must be in (0,1], got {fraction}")
+        if not self.alpha >= 0.0:
+            raise DomainError(f"alpha must be >= 0, got {self.alpha}")
+        if self.rank is not None and self.rank < 0:
+            raise DomainError(f"rank must be >= 0, got {self.rank}")
+        if not 0.0 < self.eps0 < 1.0:
+            raise DomainError(f"eps0 must be in (0,1), got {self.eps0}")
         if not 0.0 <= self.eps1 < 1.0:
             raise DomainError(f"eps1 must be in [0,1), got {self.eps1}")
         if self.grad_tol <= 0 or self.max_iters < 1:
@@ -258,7 +281,7 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int, eps0_t: float) -> ApproxHe
     seed_t = rng.child_seed(cfg.seed, 1, t)
     method = cfg.hessian_method
     if method == EXACT:
-        return ApproxHessian.dense(obj.full_hessian(x), EXACT, {"t": t})
+        return ApproxHessian.dense(obj.full_hessian(x), EXACT, {})
     if method == GRADIENT_DESCENT:
         return gradient_descent_hessian(obj)
     if method == SKETCHED:
@@ -285,24 +308,15 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int, eps0_t: float) -> ApproxHe
             S = make_oblivious_sketch(GAUSSIAN, size, B.shape[0], seed_t)
         else:
             S = make_oblivious_sketch(cfg.sketch_kind, size, B.shape[0], seed_t)
-        H = sketched_hessian(B, S)
-        H.meta["eps0_target"] = eps0_t
-        return H
-    if method == REGULARIZED and cfg.alpha == 0.0:
-        method = SUBSAMPLED  # alpha = 0 is the plain subsampled surrogate
+        return sketched_hessian(B, S)
     pool = obj.hessian_sample_pool(x)
     size = _resolve_sample_size(cfg, pool)
-    if method == SUBSAMPLED:
-        return subsampled_hessian(obj, x, size, seed_t, pool=pool)
-    if method == REGULARIZED:
-        return regularized_subsampled_hessian(
-            obj, x, size, cfg.alpha, seed_t, pool=pool
-        )
     if method == NEWSAMP:
         if cfg.rank is None:
             raise DomainError("rank required for the newsamp method")
         return newsamp_hessian(obj, x, size, cfg.rank, seed_t, pool=pool)
-    raise DomainError(f"unknown hessian method {method!r}")
+    # subsampled and regularized_subsampled: alpha = 0 is the plain surrogate
+    return subsampled_hessian(obj, x, size, seed_t, alpha=cfg.alpha, pool=pool)
 
 
 def approximate_newton_run(

@@ -136,6 +136,18 @@ class TestRunExperiment:
                 continue
             assert read(out_a / name) == read(out_b / name), name
 
+    def test_alpha_on_subsampled_cell_regularizes(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cfg.grid = [
+            {"label": method, "method": method, "sample_size": 3, "alpha": 0.05}
+            for method in ("subsampled", "regularized_subsampled")
+        ]
+        assert run_experiment(cfg) == 0
+        for seed in cfg.seeds:
+            sub = read(tmp_path / f"trace_subsampled_s{seed}.csv")
+            reg = read(tmp_path / f"trace_regularized_subsampled_s{seed}.csv")
+            assert sub == reg
+
     def test_partial_failure_recorded_and_exit_2(self, tmp_path):
         cfg = tiny_config(tmp_path)
         cfg.grid.append({"label": "bad", "method": "newsamp",
@@ -596,6 +608,46 @@ class TestCli:
         assert message in err
         assert err.count("\n") == 1
         assert not (tmp_path / "out" / "summary.csv").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, cell, message",
+        [
+            ("custom", "{method: subsampeld, sample_size: 5}",
+             "unknown hessian_method 'subsampeld'"),
+            ("custom", "{method: exact, inner: cgg}", "unknown inner 'cgg'"),
+            ("custom", "{method: sketched, sketch_kind: gausian}",
+             "unknown sketch_kind 'gausian'"),
+            ("custom", "{method: regularized_subsampled, sample_size: 5, alpha: -1}",
+             "alpha must be >= 0, got -1"),
+            ("custom", "{method: subsampled, sample_size: 0}",
+             "sample_size must be >= 1, got 0"),
+            ("custom", "{method: sketched, sketch_kind: gaussian, "
+                       "eps0_schedule: log-decay}",
+             "unknown eps0_schedule 'log-decay'"),
+            ("custom", "{label: a/b, method: exact}", "not a plain file name"),
+            ("embedding_check", "{sketch_kind: gausian}",
+             "unknown sketch kind 'gausian'"),
+        ],
+    )
+    def test_bad_cell_is_config_error_and_creates_nothing(
+        self, tmp_path, capsys, experiment, cell, message
+    ):
+        if experiment == "embedding_check":
+            problem = "{kind: embedding, d: 4, m: 80}"
+        else:
+            problem = "{kind: synthetic, n: 40, d: 4, decay: 1.5, seed: 3}"
+        path = tmp_path / "exp.yaml"
+        out = tmp_path / "out"
+        path.write_text(
+            f"experiment: {experiment}\nproblem: {problem}\n"
+            f"grid: [{cell}]\nseeds: [0]\noutput_dir: {out}\n"
+        )
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_builtin_experiment_with_zero_workers_is_config_error(self, tmp_path,
                                                                    capsys):

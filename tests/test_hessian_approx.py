@@ -9,7 +9,6 @@ from approxnewton import (
     epsilon0_newsamp,
     epsilon0_regularized,
     newsamp_hessian,
-    regularized_subsampled_hessian,
     sketched_hessian,
     subsampled_gradient,
     subsampled_hessian,
@@ -68,10 +67,14 @@ class TestSketchedHessian:
 
 class TestSubsampledHessian:
     def test_exhaustive_reproduces_full(self, ls_tiny, svm_tiny):
+        # every pool index once: the mean over the pool plus the regularizer
+        # is the full Hessian the sampled builder estimates
         for obj in (ls_tiny, svm_tiny):
             x = 0.1 * np.ones(obj.d)
-            H = subsampled_hessian(obj, x, size=1, seed=0, exhaustive=True)
-            np.testing.assert_allclose(H.matrix, obj.full_hessian(x), atol=1e-10)
+            pool = obj.hessian_sample_pool(x)
+            R = obj.hessian_term_root(pool, x)
+            H = R.T @ R / pool.size + obj.regularizer_scale * np.eye(obj.d)
+            np.testing.assert_allclose(H, obj.full_hessian(x), atol=1e-10)
 
     def test_single_sample_is_scaled_outer_product(self, ls_tiny):
         x = np.zeros(4)
@@ -107,19 +110,25 @@ class TestSubsampledHessian:
 
 
 class TestRegularizedSubsampled:
-    def test_full_sample_plus_alpha(self, ls_tiny):
-        x = np.zeros(4)
-        H = regularized_subsampled_hessian(
-            ls_tiny, x, size=1, alpha=0.1, seed=0, exhaustive=True
-        )
-        np.testing.assert_allclose(
-            H.matrix, ls_tiny.full_hessian(x) + 0.1 * np.eye(4), atol=1e-10
-        )
+    def test_full_sample_plus_alpha(self, ls_tiny, svm_tiny):
+        for obj in (ls_tiny, svm_tiny):
+            x = 0.1 * np.ones(obj.d)
+            pool = obj.hessian_sample_pool(x)
+            R = obj.hessian_term_root(pool, x)
+            full = R.T @ R / pool.size + obj.regularizer_scale * np.eye(obj.d)
+            np.testing.assert_allclose(full, obj.full_hessian(x), atol=1e-10)
+            # the regularized surrogate is the subsampled one shifted by alpha
+            H = subsampled_hessian(obj, x, size=30, seed=0, alpha=0.1)
+            H_sub = subsampled_hessian(obj, x, size=30, seed=0)
+            assert H.method == "regularized_subsampled" and H.meta["alpha"] == 0.1
+            np.testing.assert_allclose(
+                H.matrix, H_sub.matrix + 0.1 * np.eye(obj.d), atol=1e-12
+            )
 
     def test_alpha_dominates_in_the_limit(self, ls_tiny):
         x = np.zeros(4)
         alpha = 1e8
-        H = regularized_subsampled_hessian(ls_tiny, x, size=5, alpha=alpha, seed=2)
+        H = subsampled_hessian(ls_tiny, x, size=5, seed=2, alpha=alpha)
         H_sub = subsampled_hessian(ls_tiny, x, size=5, seed=2)
         assert np.linalg.norm(H.matrix / alpha - np.eye(4)) <= (
             np.linalg.norm(H_sub.matrix) / alpha + 1e-12
@@ -127,7 +136,7 @@ class TestRegularizedSubsampled:
 
     def test_subtracting_alpha_recovers_subsampled(self, ls_tiny):
         x = np.zeros(4)
-        H = regularized_subsampled_hessian(ls_tiny, x, size=7, alpha=0.5, seed=4)
+        H = subsampled_hessian(ls_tiny, x, size=7, seed=4, alpha=0.5)
         H_sub = subsampled_hessian(ls_tiny, x, size=7, seed=4)
         np.testing.assert_array_equal(H.matrix - 0.5 * np.eye(4), H_sub.matrix)
 
@@ -148,12 +157,12 @@ class TestRegularizedSubsampled:
             report = check_spectral_sandwich(H, full, eps0)
             assert report.max_eps <= eps0 + 1e-10
 
-    def test_nonpositive_alpha_rejected(self, ls_tiny):
+    def test_negative_alpha_rejected(self, ls_tiny):
         with pytest.raises(DomainError):
-            regularized_subsampled_hessian(ls_tiny, np.zeros(4), 5, alpha=0.0, seed=0)
+            subsampled_hessian(ls_tiny, np.zeros(4), 5, seed=0, alpha=-0.1)
 
     def test_minimum_eigenvalue_floor(self, ls_tiny):
-        H = regularized_subsampled_hessian(ls_tiny, np.zeros(4), 3, alpha=2.5, seed=1)
+        H = subsampled_hessian(ls_tiny, np.zeros(4), 3, seed=1, alpha=2.5)
         assert np.linalg.eigvalsh(H.matrix)[0] >= 2.5 - 1e-10
 
 

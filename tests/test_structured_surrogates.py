@@ -20,7 +20,6 @@ from approxnewton import (
     gradient_descent_hessian,
     least_squares_objective,
     newsamp_hessian,
-    regularized_subsampled_hessian,
     sketched_hessian,
     solve_inner,
     subsampled_hessian,
@@ -124,7 +123,7 @@ def test_regularized_matches_dense_reference(problem, data):
     # alpha relative to the surrogate's scale keeps the reference well
     # conditioned, so every example checks its solve
     alpha = data.draw(st.floats(1e-3, 10.0), label="alpha") * np.linalg.norm(ref, 2)
-    H = regularized_subsampled_hessian(obj, x, size, alpha, seed)
+    H = subsampled_hessian(obj, x, size, seed, alpha=alpha)
     check_against(H, ref + alpha * np.eye(obj.d), gen)
 
 
