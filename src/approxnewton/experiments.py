@@ -27,7 +27,7 @@ import yaml
 
 from . import metrics, rng, sketch, solvers
 from .errors import ApproxNewtonError, DomainError
-from .hessian_approx import EXACT
+from .hessian_approx import EXACT, SUBSAMPLED
 from .problems import (
     FiniteSumObjective,
     least_squares_objective,
@@ -74,10 +74,11 @@ CELL_KEYS = RUN_KEYS | (
     {f.name for f in fields(solvers.SolverConfig)}
     - {"hessian_method", "seed", "store_snapshots"}
 )
-# cell methods that name an exact-Hessian preset, with the inner solve each fixes
+# cell methods that name a preset, with the `SolverConfig` settings each fixes
 PRESETS = {
     "full_newton": {"hessian_method": EXACT, "inner": solvers.INNER_EXACT},
     "newton_cg": {"hessian_method": EXACT, "inner": solvers.INNER_CG},
+    "regularized_subsampled": {"hessian_method": SUBSAMPLED},
 }
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 NAME_MAX = 255  # bytes in a file name on common file systems
@@ -109,7 +110,6 @@ class ExperimentConfig:
 @dataclass
 class RunOutcome:
     tag: str
-    label: str
     seed: int
     status: str
     iters: int
@@ -136,9 +136,27 @@ def _write_csv(path: str, columns, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+# the keys of each problem kind besides `kind`: (required, optional)
+PROBLEM_KEYS = {
+    "synthetic": ({"n", "d", "decay"}, {"seed"}),
+    "spiked": ({"n", "d"}, {"seed", "n_heavy", "heavy_scale"}),
+    "two_class": ({"n", "d"}, {"seed", "separation", "C"}),
+    "libsvm": ({"path"}, {"binarize_class", "C"}),
+}
+
+
 def build_objective(problem: dict) -> FiniteSumObjective:
     """Instantiate the objective described by a problem spec dict."""
     kind = problem.get("kind")
+    if not isinstance(kind, str) or kind not in PROBLEM_KEYS:
+        raise DomainError(f"unknown problem kind {kind!r}")
+    required, optional = PROBLEM_KEYS[kind]
+    unknown = problem.keys() - required - optional - {"kind"}
+    if unknown:
+        raise DomainError(f"unknown {kind} problem keys: {sorted(unknown)}")
+    missing = required - problem.keys()
+    if missing:
+        raise DomainError(f"{kind} problem needs keys: {sorted(missing)}")
     if kind == "synthetic":
         ds = synthetic_spectrum_matrix(
             problem["n"], problem["d"], problem["decay"], problem.get("seed", 0)
@@ -161,10 +179,8 @@ def build_objective(problem: dict) -> FiniteSumObjective:
             separation=problem.get("separation", 2.0),
         )
         return svm_hinge2_objective(ds, C=problem.get("C", 1.0))
-    if kind == "libsvm":
-        ds = load_libsvm(problem["path"], binarize_class=problem.get("binarize_class"))
-        return svm_hinge2_objective(ds, C=problem.get("C", 1.0))
-    raise DomainError(f"unknown problem kind {kind!r}")
+    ds = load_libsvm(problem["path"], binarize_class=problem.get("binarize_class"))
+    return svm_hinge2_objective(ds, C=problem.get("C", 1.0))
 
 
 def _solver_config(cell: dict, cfg: ExperimentConfig, seed: int) -> solvers.SolverConfig:
@@ -191,8 +207,7 @@ def run_cell(
     seed: int,
 ) -> RunOutcome:
     """Execute one grid cell at one seed and classify its trace."""
-    label = _label(cell)
-    tag = f"{label}_s{seed}"
+    tag = f"{_label(cell)}_s{seed}"
     try:
         x0 = np.zeros(obj.d)
         warm = cell.get("warm_start_steps", 0)
@@ -208,7 +223,6 @@ def run_cell(
             rate_class, rho = "insufficient_data", None
         return RunOutcome(
             tag=tag,
-            label=label,
             seed=seed,
             status=trace.status,
             iters=trace.n_steps,
@@ -221,7 +235,6 @@ def run_cell(
     except (ApproxNewtonError, np.linalg.LinAlgError) as exc:
         return RunOutcome(
             tag=tag,
-            label=label,
             seed=seed,
             status=f"error:{type(exc).__name__}",
             iters=0,
@@ -234,16 +247,14 @@ def run_cell(
 
 
 def _trace_rows(trace: solvers.IterationTrace):
-    n = len(trace.grad_norms)
-    mstar = trace.grad_mstar_norms or [None] * n
     rows = []
-    for t in range(n):
+    for t, mstar in enumerate(trace.grad_mstar_norms):
         stepped = t < trace.n_steps
         rows.append(
             (
                 t,
                 trace.grad_norms[t],
-                mstar[t],
+                mstar,
                 trace.inner_residuals[t] if stepped else None,
                 "" if stepped else trace.status,
             )
@@ -276,8 +287,9 @@ def _check_cell_keys(cfg: ExperimentConfig) -> None:
             raise DomainError(f"unknown cell keys: {sorted(unknown)}")
         if not isinstance(cell.get("method", ""), str):
             raise DomainError(f"method must be a string, got {cell['method']!r}")
-        if cell.get("method") in PRESETS and "inner" in cell:
-            raise DomainError(f"method {cell['method']} fixes the inner solve: {cell}")
+        fixed = sorted(PRESETS.get(cell.get("method"), {}).keys() & cell.keys())
+        if fixed:
+            raise DomainError(f"method {cell['method']} fixes {fixed}: {cell}")
         _solver_config(cell, cfg, cfg.seeds[0])
     # a run's output files are named by its label and seed
     labels = [str(_label(cell)) for cell in cfg.grid]
@@ -333,14 +345,15 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     else:
         _check_cell_keys(cfg)
     out_dir = cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     started = time.time()
     if embedding:
+        os.makedirs(out_dir, exist_ok=True)
         code = _run_embedding_check(cfg, out_dir)
         _write_metadata(out_dir, cfg, started, 1, [])
         return code
 
     obj = build_objective(cfg.problem)
+    os.makedirs(out_dir, exist_ok=True)
     ref = metrics.compute_mstar_reference(obj, np.zeros(obj.d))
 
     jobs = [(cell, seed) for cell in cfg.grid for seed in cfg.seeds]

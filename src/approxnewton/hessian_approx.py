@@ -13,6 +13,7 @@ eigenvalues of (hess F, H).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,10 +28,9 @@ from .sketch import SketchOperator, apply_sketch
 EXACT = "exact"
 SKETCHED = "sketched"
 SUBSAMPLED = "subsampled"
-REGULARIZED = "regularized_subsampled"
 NEWSAMP = "newsamp"
 GRADIENT_DESCENT = "gradient_descent"
-METHODS = (EXACT, SKETCHED, SUBSAMPLED, REGULARIZED, NEWSAMP, GRADIENT_DESCENT)
+METHODS = (EXACT, SKETCHED, SUBSAMPLED, NEWSAMP, GRADIENT_DESCENT)
 
 
 def _symmetrized(M: np.ndarray) -> np.ndarray:
@@ -44,27 +44,42 @@ def _cholesky(M: np.ndarray):
         raise NotPositiveDefinite("H is not positive definite") from exc
 
 
-class _Dense:
+class ApproxHessian:
+    """A symmetric surrogate Hessian H in the form it was built in, plus its
+    construction metadata.
+
+    Each form is a subclass: `DenseHessian` (the exact Hessian, and sampled
+    or sketched surrogates whose root has at least d rows), `RootPlusShift`
+    (`R^T R / k + c I` for roots of fewer than d rows) and `FlooredSpectrum`
+    (NewSamp, and `L I` for gradient descent).  Each has `solve(g)`, which
+    returns H^{-1} g, and `matvec(v)`, which returns H v without forming H,
+    at the cost its form allows; `matrix` is the dense view, built on first
+    use where the form is not dense.
+    """
+
+    def __init__(self, d: int, meta: dict | None = None):
+        self.d = d
+        self.meta = {} if meta is None else meta
+
+
+class DenseHessian(ApproxHessian):
     """H = M, factored by Cholesky on the first solve."""
 
-    def __init__(self, M: np.ndarray):
-        self.M = M
-        self.d = M.shape[0]
+    def __init__(self, M: np.ndarray, meta: dict | None = None):
+        super().__init__(M.shape[0], meta)
+        self.matrix = M
         self._factor = None
 
     def matvec(self, v):
-        return self.M @ v
+        return self.matrix @ v
 
     def solve(self, g):
         if self._factor is None:
-            self._factor = _cholesky(self.M)
+            self._factor = _cholesky(self.matrix)
         return scipy.linalg.cho_solve(self._factor, g)
 
-    def dense(self):
-        return self.M
 
-
-class _RootPlusShift:
+class RootPlusShift(ApproxHessian):
     """H = R^T R / k + c I for a root R with fewer rows than columns.
 
     Solved with the Woodbury identity
@@ -73,9 +88,9 @@ class _RootPlusShift:
     O(rows d) per solve.  A zero shift leaves H singular.
     """
 
-    def __init__(self, R: np.ndarray, k: int, c: float):
+    def __init__(self, R: np.ndarray, k: int, c: float, meta: dict | None = None):
+        super().__init__(R.shape[1], meta)
         self.R, self.k, self.c = R, k, c
-        self.d = R.shape[1]
         self._factor = None
 
     def matvec(self, v):
@@ -93,18 +108,21 @@ class _RootPlusShift:
         inner = scipy.linalg.cho_solve(self._factor, self.R @ g)
         return (g - self.R.T @ inner) / self.c
 
-    def dense(self):
+    @functools.cached_property
+    def matrix(self):
         return _symmetrized(self.R.T @ self.R / self.k + self.c * np.eye(self.d))
 
 
-class _FlooredSpectrum:
+class FlooredSpectrum(ApproxHessian):
     """H = U diag(lam) U^T + floor (I - U U^T) for orthonormal columns U:
     the top eigenpairs kept, every other eigenvalue lifted to `floor`.
     Solved in closed form at O(r d)."""
 
-    def __init__(self, U: np.ndarray, lam: np.ndarray, floor: float):
+    def __init__(
+        self, U: np.ndarray, lam: np.ndarray, floor: float, meta: dict | None = None
+    ):
+        super().__init__(U.shape[0], meta)
         self.U, self.lam, self.floor = U, lam, floor
-        self.d = U.shape[0]
 
     def matvec(self, v):
         Utv = self.U.T @ v
@@ -116,49 +134,11 @@ class _FlooredSpectrum:
         Utg = self.U.T @ g
         return self.U @ (Utg / self.lam) + (g - self.U @ Utg) / self.floor
 
-    def dense(self):
+    @functools.cached_property
+    def matrix(self):
         U = self.U
         tail = np.eye(self.d) - U @ U.T
         return _symmetrized((U * self.lam) @ U.T + self.floor * tail)
-
-
-class ApproxHessian:
-    """A symmetric surrogate Hessian in its natural form, plus construction
-    metadata.
-
-    The forms are a dense d x d matrix (the exact Hessian, and sampled or
-    sketched surrogates whose root has at least d rows), a root plus a shift
-    `R^T R / k + c I` (roots of fewer than d rows), and a floored spectrum
-    (NewSamp, and `L I` for gradient descent).  `solve(g)` returns H^{-1} g
-    and `matvec(v)` returns H v without forming H; `matrix` is the dense
-    view, built on first use.
-    """
-
-    def __init__(self, form, method: str, meta: dict):
-        self._form = form
-        self.method = method
-        self.meta = meta
-        self._matrix = None
-
-    @classmethod
-    def dense(cls, M: np.ndarray, method: str, meta: dict) -> ApproxHessian:
-        return cls(_Dense(M), method, meta)
-
-    @property
-    def d(self) -> int:
-        return self._form.d
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix = self._form.dense()
-        return self._matrix
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._form.matvec(v)
-
-    def solve(self, g: np.ndarray) -> np.ndarray:
-        return self._form.solve(g)
 
 
 @dataclass
@@ -175,16 +155,13 @@ class SandwichReport:
         return max(self.eps_lower, self.eps_upper)
 
 
-def _root_plus_shift(
-    R: np.ndarray, k: int, c: float, method: str, meta: dict
-) -> ApproxHessian:
+def _root_plus_shift(R: np.ndarray, k: int, c: float, meta: dict) -> ApproxHessian:
     """R^T R / k + c I: Woodbury form for a root of fewer than d rows, dense
     otherwise, where forming and factoring the d x d matrix is cheaper."""
     d = R.shape[1]
     if R.shape[0] < d:
-        return ApproxHessian(_RootPlusShift(R, k, c), method, meta)
-    M = _symmetrized(R.T @ R / k + c * np.eye(d))
-    return ApproxHessian.dense(M, method, meta)
+        return RootPlusShift(R, k, c, meta)
+    return DenseHessian(_symmetrized(R.T @ R / k + c * np.eye(d)), meta)
 
 
 def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:
@@ -194,7 +171,7 @@ def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:
         raise ShapeError(f"operator expects {S.m} rows, factor has shape {B.shape}")
     SB = apply_sketch(S, B)
     meta = {"sketch_kind": S.kind, "size": S.s, "seed": S.seed}
-    return _root_plus_shift(SB, 1, 0.0, SKETCHED, meta)
+    return _root_plus_shift(SB, 1, 0.0, meta)
 
 
 def _sampled_root(obj, x, size: int, seed: int, pool):
@@ -236,10 +213,8 @@ def subsampled_hessian(
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     x = np.asarray(x, dtype=float)
     R, k, c, meta = _sampled_root(obj, x, size, seed, pool)
-    if alpha > 0:
-        meta["alpha"] = float(alpha)
-        return _root_plus_shift(R, k, c + alpha, REGULARIZED, meta)
-    return _root_plus_shift(R, k, c, SUBSAMPLED, meta)
+    meta["alpha"] = float(alpha)
+    return _root_plus_shift(R, k, c + alpha, meta)
 
 
 def newsamp_hessian(
@@ -270,15 +245,15 @@ def newsamp_hessian(
     lam = sv**2 / k + c  # descending
     floor = float(lam[r])
     meta = dict(meta, rank=int(r), eigenvalue_floor=floor)
-    return ApproxHessian(_FlooredSpectrum(Vt[:r].T, lam[:r], floor), NEWSAMP, meta)
+    return FlooredSpectrum(Vt[:r].T, lam[:r], floor, meta)
 
 
 def gradient_descent_hessian(obj: FiniteSumObjective) -> ApproxHessian:
     """H = L I for the objective's curvature bound L: a floored spectrum with
     no kept pairs, so the unit step -H^{-1} g is the gradient step -g / L."""
     L = float(obj.L)
-    form = _FlooredSpectrum(np.zeros((obj.d, 0)), np.zeros(0), L)
-    return ApproxHessian(form, GRADIENT_DESCENT, {"eigenvalue_floor": L})
+    meta = {"eigenvalue_floor": L}
+    return FlooredSpectrum(np.zeros((obj.d, 0)), np.zeros(0), L, meta)
 
 
 def subsampled_gradient(

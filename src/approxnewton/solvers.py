@@ -34,7 +34,9 @@ from .hessian_approx import (
     METHODS,
     NEWSAMP,
     SKETCHED,
+    SUBSAMPLED,
     ApproxHessian,
+    DenseHessian,
     gradient_descent_hessian,
     newsamp_hessian,
     sketched_hessian,
@@ -64,6 +66,18 @@ SCHEDULE_LOG_DECAY = "log_decay"
 
 _CG_FLOOR = 1e-12  # relative residual floor when eps1 = 0
 _REFINEMENT_PASSES = 2
+# the surrogate settings each method reads; a config that sets any other
+# surrogate setting away from its default is rejected
+METHOD_SETTINGS = {
+    EXACT: (),
+    SKETCHED: ("sketch_kind", "sketch_size", "eps0", "eps0_schedule"),
+    SUBSAMPLED: ("sample_size", "sample_fraction", "alpha"),
+    NEWSAMP: ("sample_size", "sample_fraction", "rank"),
+    GRADIENT_DESCENT: (),
+}
+SURROGATE_SETTINGS = frozenset().union(*METHOD_SETTINGS.values())
+# the setting a method cannot run without
+_REQUIRED = {SKETCHED: "sketch_kind", NEWSAMP: "rank"}
 # the number classes a field annotated `int` or `float` must belong to
 _NUMBER_FIELDS = {
     "int": (numbers.Integral, "an integer"),
@@ -90,13 +104,17 @@ def check_number_fields(config) -> None:
 class SolverConfig:
     """Configuration of one approximate-Newton run.
 
-    `hessian_method` picks the surrogate builder; the sketch_*/sample_*/
-    alpha/rank fields parameterize it, and `alpha` adds `alpha I` to either
-    sampled surrogate.  A value out of its range raises `DomainError` here,
-    before any run.  `sample_fraction` resizes the draw to
-    a fraction of the current sampling pool (used for the sample-a-share-of-
-    support-vectors protocol).  When `sketch_size` is None the sketch size is
-    derived from the accuracy target eps0 of the active schedule.  A step
+    `hessian_method` picks the surrogate builder and `METHOD_SETTINGS` the
+    surrogate settings it reads; `alpha` adds `alpha I` to the subsampled
+    surrogate.  `DomainError` is raised here, before any run, for a value
+    out of its range, a surrogate setting the method does not read that is
+    not at its default, a sketched method without `sketch_kind` or a NewSamp
+    one without `rank`, a sampled method without exactly one of
+    `sample_size` and `sample_fraction`, and a positive `eps1` (read only by
+    CG) with an exact inner solve.  `sample_fraction` resizes the draw to a
+    fraction of the current sampling pool (used for the sample-a-share-of-
+    support-vectors protocol).  When `sketch_size` is None the sketch size
+    is derived from the accuracy target eps0 of the active schedule.  A step
     uses a subsampled gradient exactly when `gradient_sample_size` is set.
     `store_snapshots` keeps every iterate in `trace.xs`.  The defaults run
     full Newton.
@@ -148,6 +166,22 @@ class SolverConfig:
             raise DomainError(f"eps1 must be in [0,1), got {self.eps1}")
         if self.grad_tol <= 0 or self.max_iters < 1:
             raise DomainError("grad_tol must be positive and max_iters >= 1")
+        method, reads = self.hessian_method, METHOD_SETTINGS[self.hessian_method]
+        unread = SURROGATE_SETTINGS.difference(reads)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in unread and value != f.default:
+                raise DomainError(f"{method} does not read {f.name}, got {value!r}")
+        required = _REQUIRED.get(method)
+        if required is not None and getattr(self, required) is None:
+            raise DomainError(f"{method} needs {required}")
+        sampled = (self.sample_size, self.sample_fraction)
+        if "sample_size" in reads and sampled.count(None) != 1:
+            raise DomainError(f"{method} needs one of sample_size, sample_fraction")
+        if self.eps1 > 0 and self.inner == INNER_EXACT:
+            raise DomainError(
+                f"eps1 is read only by the cg inner solve, got {self.eps1}"
+            )
 
 
 @dataclass
@@ -221,7 +255,7 @@ def solve_inner(
         M = np.asarray(H, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ShapeError(f"H has shape {M.shape}, need a square matrix")
-        H = ApproxHessian.dense(M, "matrix", {})
+        H = DenseHessian(M)
     g = np.asarray(g, dtype=float)
     if H.d != g.shape[0]:
         raise ShapeError(f"H has dimension {H.d}, g has shape {g.shape}")
@@ -269,35 +303,27 @@ def solve_inner(
     return InnerSolveResult(best_p, rel, iterations, stalled)
 
 
-def _resolve_sample_size(cfg: SolverConfig, pool: np.ndarray) -> int:
-    if cfg.sample_fraction is not None:
-        return max(1, int(math.ceil(cfg.sample_fraction * pool.size)))
-    if cfg.sample_size is None:
-        raise DomainError("sample_size or sample_fraction required for this method")
-    return cfg.sample_size
-
-
-def _build_hessian(obj, x, cfg: SolverConfig, t: int, eps0_t: float) -> ApproxHessian:
+def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
     seed_t = rng.child_seed(cfg.seed, 1, t)
     method = cfg.hessian_method
     if method == EXACT:
-        return ApproxHessian.dense(obj.full_hessian(x), EXACT, {})
+        return DenseHessian(obj.full_hessian(x))
     if method == GRADIENT_DESCENT:
         return gradient_descent_hessian(obj)
     if method == SKETCHED:
         B = obj.hessian_factor(x)
         if B is None:
             raise DomainError("objective exposes no Hessian factor to sketch")
-        if cfg.sketch_kind is None:
-            raise DomainError("sketch_kind required for the sketched method")
         size = cfg.sketch_size
         if size is None:
             # A decaying schedule wants the achieved accuracy to track
             # eps0(t); a constant target wants it certified below eps0.
             if cfg.eps0_schedule == SCHEDULE_LOG_DECAY:
-                size = tracking_sketch_size(cfg.sketch_kind, obj.d, eps0_t)
+                size = tracking_sketch_size(
+                    cfg.sketch_kind, obj.d, superlinear_schedule(t)
+                )
             else:
-                size = recommended_sketch_size(cfg.sketch_kind, obj.d, eps0_t)
+                size = recommended_sketch_size(cfg.sketch_kind, obj.d, cfg.eps0)
         # the objective's memo decomposes each factor once per experiment
         if cfg.sketch_kind == LEVERAGE_SCORE:
             S = make_leverage_sketch(B, size, seed_t, scores=obj.leverage_scores(B))
@@ -310,12 +336,11 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int, eps0_t: float) -> ApproxHe
             S = make_oblivious_sketch(cfg.sketch_kind, size, B.shape[0], seed_t)
         return sketched_hessian(B, S)
     pool = obj.hessian_sample_pool(x)
-    size = _resolve_sample_size(cfg, pool)
+    size = cfg.sample_size
+    if size is None:
+        size = max(1, int(math.ceil(cfg.sample_fraction * pool.size)))
     if method == NEWSAMP:
-        if cfg.rank is None:
-            raise DomainError("rank required for the newsamp method")
         return newsamp_hessian(obj, x, size, cfg.rank, seed_t, pool=pool)
-    # subsampled and regularized_subsampled: alpha = 0 is the plain surrogate
     return subsampled_hessian(obj, x, size, seed_t, alpha=cfg.alpha, pool=pool)
 
 
@@ -355,11 +380,7 @@ def approximate_newton_run(
 
         t = trace.n_steps
         tic = time.perf_counter()
-        if cfg.eps0_schedule == SCHEDULE_LOG_DECAY:
-            eps0_t = superlinear_schedule(t)
-        else:
-            eps0_t = cfg.eps0
-        H = _build_hessian(obj, x, cfg, t, eps0_t)
+        H = _build_hessian(obj, x, cfg, t)
         if cfg.gradient_sample_size is not None:
             g_step = subsampled_gradient(
                 obj, x, cfg.gradient_sample_size, rng.child_seed(cfg.seed, 2, t)
@@ -371,9 +392,9 @@ def approximate_newton_run(
 
         trace.inner_residuals.append(inner.rel_residual)
         trace.inner_stalled.append(inner.stalled)
-        info = {"method": H.method, "eps0": eps0_t, "t": t}
-        info.update({k: v for k, v in H.meta.items() if np.isscalar(v)})
-        trace.hessian_infos.append(info)
+        trace.hessian_infos.append(
+            {k: v for k, v in H.meta.items() if np.isscalar(v)}
+        )
         trace.wall_ms.append((time.perf_counter() - tic) * 1e3)
     trace.x_final = x
     return trace

@@ -215,7 +215,7 @@ def test_criterion_06_tail_floor_equals_matched_regularizer():
         cfg_n = SolverConfig(hessian_method="newsamp", sample_size=size, rank=r,
                              inner="exact", max_iters=400, grad_tol=1e-9,
                              seed=seed, store_snapshots=False)
-        cfg_r = SolverConfig(hessian_method="regularized_subsampled",
+        cfg_r = SolverConfig(hessian_method="subsampled",
                              sample_size=size, alpha=float(floor), inner="exact",
                              max_iters=400, grad_tol=1e-9, seed=seed,
                              store_snapshots=False)

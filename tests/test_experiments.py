@@ -25,6 +25,7 @@ from approxnewton.experiments import (
     load_config,
     run_experiment,
 )
+from approxnewton.hessian_approx import METHODS
 
 
 def tiny_config(out_dir, seeds=(0, 1)):
@@ -52,9 +53,7 @@ def read(path):
 # a valid value for every cell key
 CELL_VALUES = {
     "label": st.text(min_size=1, max_size=8),
-    "method": st.sampled_from(["exact", "sketched", "subsampled",
-                               "regularized_subsampled", "newsamp",
-                               "gradient_descent", *PRESETS]),
+    "method": st.sampled_from([*METHODS, *PRESETS]),
     "warm_start_steps": st.integers(0, 3),
     "sketch_kind": st.sampled_from(sketch.ALL_KINDS),
     "sketch_size": st.integers(1, 500),
@@ -76,10 +75,24 @@ CELL_VALUES = {
 
 @st.composite
 def cells(draw):
+    """A valid cell: of the surrogate settings it sets only those in its
+    method's row of `METHOD_SETTINGS`, with the ones that method needs."""
     keys = draw(st.sets(st.sampled_from(sorted(CELL_VALUES))))
     cell = {key: draw(CELL_VALUES[key]) for key in sorted(keys)}
-    if cell.get("method") in PRESETS:
-        cell.pop("inner", None)  # a preset fixes the inner solve
+    method = cell.get("method", "exact")
+    fixed = PRESETS.get(method, {"hessian_method": method})
+    reads = solvers.METHOD_SETTINGS[fixed["hessian_method"]]
+    for key in sorted(solvers.SURROGATE_SETTINGS - set(reads) | fixed.keys()):
+        cell.pop(key, None)  # not read by the method, or fixed by its preset
+    if "sample_size" in reads:  # exactly one of the two sample settings
+        keep, drop = draw(st.permutations(["sample_size", "sample_fraction"]))
+        cell.pop(drop, None)
+        cell.setdefault(keep, draw(CELL_VALUES[keep]))
+    for key in ("sketch_kind", "rank"):
+        if key in reads:
+            cell.setdefault(key, draw(CELL_VALUES[key]))
+    if {**cell, **fixed}.get("inner", "exact") == "exact" and "eps1" in cell:
+        cell["eps1"] = 0.0  # read only by the cg inner solve
     return cell
 
 
@@ -99,12 +112,8 @@ def test_solver_config_takes_cell_then_experiment_then_defaults(cell, seed):
     expected.update(max_iters=37, grad_tol=3e-5, seed=seed)
     expected.update({k: v for k, v in cell.items() if k not in RUN_KEYS})
     method = cell.get("method")
-    if method == "full_newton":
-        expected.update(hessian_method="exact", inner="exact")
-    elif method == "newton_cg":
-        expected.update(hessian_method="exact", inner="cg")
-    elif method is not None:
-        expected["hessian_method"] = method
+    if method is not None:
+        expected.update(PRESETS.get(method, {"hessian_method": method}))
     assert {f.name: getattr(got, f.name) for f in fields(got)} == expected
 
 
@@ -147,6 +156,18 @@ class TestRunExperiment:
             sub = read(tmp_path / f"trace_subsampled_s{seed}.csv")
             reg = read(tmp_path / f"trace_regularized_subsampled_s{seed}.csv")
             assert sub == reg
+
+    def test_alpha_zero_reduces_to_plain_subsampled(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cfg.grid = [
+            {"label": "sub", "method": "subsampled", "sample_size": 8},
+            {"label": "reg", "method": "regularized_subsampled", "sample_size": 8,
+             "alpha": 0.0},
+        ]
+        assert run_experiment(cfg) == 0
+        for seed in cfg.seeds:
+            sub = read(tmp_path / f"trace_sub_s{seed}.csv")
+            assert sub == read(tmp_path / f"trace_reg_s{seed}.csv")
 
     def test_partial_failure_recorded_and_exit_2(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -352,7 +373,7 @@ class TestRunExperiment:
     def test_preset_with_inner_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path)
         cfg.grid = [{"label": "cg", "method": "newton_cg", "inner": "exact"}]
-        with pytest.raises(DomainError, match="fixes the inner solve"):
+        with pytest.raises(DomainError, match=r"newton_cg fixes \['inner'\]"):
             run_experiment(cfg)
         assert not (tmp_path / "summary.csv").exists()
 
@@ -640,6 +661,50 @@ class TestCli:
         out = tmp_path / "out"
         path.write_text(
             f"experiment: {experiment}\nproblem: {problem}\n"
+            f"grid: [{cell}]\nseeds: [0]\noutput_dir: {out}\n"
+        )
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "problem, cell, message",
+        [
+            (None, "{method: sketched, sketch_size: 20}", "sketched needs sketch_kind"),
+            (None, "{method: newsamp, sample_size: 20}", "newsamp needs rank"),
+            (None, "{method: subsampled}",
+             "subsampled needs one of sample_size, sample_fraction"),
+            (None, "{method: subsampled, sample_size: 20, sample_fraction: 0.5}",
+             "subsampled needs one of sample_size, sample_fraction"),
+            (None, "{method: subsampled, sample_size: 20, sketch_size: 8}",
+             "subsampled does not read sketch_size, got 8"),
+            (None, "{method: exact, alpha: 0.1}", "exact does not read alpha, got 0.1"),
+            (None, "{method: full_newton, eps1: 0.1}",
+             "eps1 is read only by the cg inner solve, got 0.1"),
+            ("{kind: synthetic, n: 60, d: 4, decay: 1.2, sed: 3}", None,
+             "unknown synthetic problem keys: ['sed']"),
+            ("{kind: synthetic, n: 60, decay: 1.2, seed: 3}", None,
+             "synthetic problem needs keys: ['d']"),
+            ("{kind: two_class, n: 60, d: 4, C: -1}", None,
+             "C must be positive, got -1"),
+        ],
+        ids=["sketched-without-kind", "newsamp-without-rank", "sampled-neither",
+             "sampled-both", "subsampled-sketch-size", "exact-alpha",
+             "full-newton-eps1", "problem-misspelled-key", "problem-without-d",
+             "problem-negative-C"],
+    )
+    def test_unread_or_missing_setting_is_config_error_and_creates_nothing(
+        self, tmp_path, capsys, problem, cell, message
+    ):
+        problem = problem or "{kind: synthetic, n: 40, d: 4, decay: 1.5, seed: 3}"
+        cell = cell or "{method: exact}"
+        path = tmp_path / "exp.yaml"
+        out = tmp_path / "out"
+        path.write_text(
+            f"experiment: custom\nproblem: {problem}\n"
             f"grid: [{cell}]\nseeds: [0]\noutput_dir: {out}\n"
         )
         assert main(["run", str(path)]) == 1

@@ -1,9 +1,11 @@
-"""The README's list of cell keys and methods agrees with the harness."""
+"""The README's list of cell keys and methods, and its table of the
+surrogate settings each method reads, agree with the harness."""
 
 import os
 import re
 
 from approxnewton.experiments import CELL_KEYS, ExperimentConfig, run_experiment
+from approxnewton.solvers import METHOD_SETTINGS
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -16,10 +18,14 @@ METHOD_PARAMS = {
 }
 
 
+def readme_text():
+    with open(README) as fh:
+        return fh.read()
+
+
 def cell_keys_sentence():
     """The README sentence that starts with "Cell keys:", joined to one line."""
-    with open(README) as fh:
-        text = " ".join(fh.read().split())
+    text = " ".join(readme_text().split())
     match = re.search(r"Cell keys: (.*?)\. ", text)
     assert match, "README has no 'Cell keys:' sentence"
     return match.group(1)
@@ -48,3 +54,14 @@ def test_readme_methods_take_a_step(tmp_path):
         rows = [line.split(",") for line in fh.read().splitlines()[1:]]
     assert {row[0] for row in rows} == {f"{m}_s0" for m in methods}
     assert all(int(row[3]) == 1 for row in rows), rows
+
+
+def test_readme_method_settings_match_solver():
+    header = "| method | surrogate settings it reads |\n| --- | --- |\n"
+    text = readme_text()
+    assert header in text, "README has no table of the settings each method reads"
+    listed = {}
+    for row in text.split(header, 1)[1].split("\n\n", 1)[0].splitlines():
+        method, settings = row.strip("|").split("|")
+        listed[method.strip().strip("`")] = set(re.findall(r"`(\w+)`", settings))
+    assert listed == {method: set(row) for method, row in METHOD_SETTINGS.items()}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxnewton import (
     DomainError,
@@ -13,12 +15,35 @@ from approxnewton import (
     subsampled_hessian,
     superlinear_schedule,
 )
+from approxnewton.hessian_approx import METHODS
+from approxnewton.sketch import ALL_KINDS
 from approxnewton.solvers import (
     CONVERGED,
     DIVERGED,
+    METHOD_SETTINGS,
+    SCHEDULE_LOG_DECAY,
+    SURROGATE_SETTINGS,
     SolverConfig,
     condition_bound,
 )
+
+# a valid value other than the default for every surrogate setting
+SETTING_VALUES = {
+    "sketch_kind": st.sampled_from(ALL_KINDS),
+    "sketch_size": st.integers(1, 500),
+    "eps0": st.floats(0.01, 0.9).filter(lambda v: v != 0.5),
+    "eps0_schedule": st.just(SCHEDULE_LOG_DECAY),
+    "sample_size": st.integers(1, 500),
+    "sample_fraction": st.floats(0.01, 1.0),
+    "alpha": st.floats(1e-6, 3.0),
+    "rank": st.integers(0, 50),
+}
+# the settings each method cannot run without
+NEEDS = {
+    "sketched": {"sketch_kind": "gaussian"},
+    "subsampled": {"sample_size": 20},
+    "newsamp": {"sample_size": 20, "rank": 1},
+}
 
 
 class TestSolveInner:
@@ -92,17 +117,6 @@ class TestNewtonDriver:
                                 cfg.inner).p
                 np.testing.assert_array_equal(trace.xs[t + 1], x - p)
 
-    def test_alpha_zero_reduces_to_plain_subsampled(self, ls_tiny):
-        base = SolverConfig(hessian_method="subsampled", sample_size=8,
-                            max_iters=15, grad_tol=1e-10, seed=3)
-        reg = SolverConfig(hessian_method="regularized_subsampled", sample_size=8,
-                           alpha=0.0, max_iters=15, grad_tol=1e-10, seed=3)
-        tr_a = approximate_newton_run(ls_tiny, base, np.ones(4))
-        tr_b = approximate_newton_run(ls_tiny, reg, np.ones(4))
-        np.testing.assert_array_equal(tr_a.grad_norms, tr_b.grad_norms)
-        np.testing.assert_array_equal(tr_a.inner_residuals, tr_b.inner_residuals)
-        np.testing.assert_array_equal(tr_a.x_final, tr_b.x_final)
-
     def test_bit_exact_determinism(self, ls_tiny):
         cfg = SolverConfig(hessian_method="subsampled", sample_size=6,
                            max_iters=20, grad_tol=1e-10, seed=8)
@@ -116,7 +130,7 @@ class TestNewtonDriver:
         gen = np.random.Generator(np.random.Philox(key=16))
         A = gen.standard_normal((100, 40))
         obj = least_squares_objective(A, gen.standard_normal(100))
-        cfg = SolverConfig(hessian_method="regularized_subsampled", sample_size=2,
+        cfg = SolverConfig(hessian_method="subsampled", sample_size=2,
                            alpha=1e-10, max_iters=50, grad_tol=1e-10, seed=0,
                            store_snapshots=False)
         trace = approximate_newton_run(obj, cfg, np.zeros(40))
@@ -168,9 +182,39 @@ class TestSolverConfig:
             SolverConfig(**{name: value})
 
     def test_numpy_scalars_accepted(self):
-        cfg = SolverConfig(eps1=np.float64(0.1), sample_size=np.int64(20),
-                           max_iters=np.int32(5), sample_fraction=1)
+        cfg = SolverConfig(hessian_method="subsampled", inner="cg",
+                           eps1=np.float64(0.1), sample_size=np.int64(20),
+                           max_iters=np.int32(5))
         assert cfg.sample_size == 20
+        cfg = SolverConfig(hessian_method="newsamp", rank=np.int64(2),
+                           sample_fraction=1)
+        assert cfg.sample_fraction == 1
+
+    def test_setting_values_cover_surrogate_settings(self):
+        assert set(SETTING_VALUES) == SURROGATE_SETTINGS
+        assert set(METHOD_SETTINGS) == set(METHODS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(METHODS), st.data())
+    def test_setting_outside_the_methods_row_rejected(self, method, data):
+        unread = sorted(SURROGATE_SETTINGS - set(METHOD_SETTINGS[method]))
+        name = data.draw(st.sampled_from(unread))
+        value = data.draw(SETTING_VALUES[name])
+        with pytest.raises(DomainError, match=f"{method} does not read {name},"):
+            SolverConfig(hessian_method=method, **NEEDS.get(method, {}),
+                         **{name: value})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(METHODS), st.data())
+    def test_every_setting_of_the_methods_row_accepted(self, method, data):
+        chosen = dict(NEEDS.get(method, {}))
+        for name in METHOD_SETTINGS[method]:
+            if data.draw(st.booleans(), label=name):
+                chosen[name] = data.draw(SETTING_VALUES[name])
+        if "sample_fraction" in chosen:
+            del chosen["sample_size"]  # the two sample settings exclude each other
+        cfg = SolverConfig(hessian_method=method, **chosen)
+        assert {name: getattr(cfg, name) for name in chosen} == chosen
 
     def test_snapshots_opt_in(self, ls_tiny):
         trace = approximate_newton_run(ls_tiny, SolverConfig(max_iters=3), np.ones(4))
