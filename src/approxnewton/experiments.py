@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -98,6 +99,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise DomainError(f"unknown experiment {self.experiment!r}")
+        # the shape of the config before its contents
+        if not isinstance(self.problem, Mapping):
+            raise DomainError(f"problem must be a mapping, got {self.problem!r}")
+        if not isinstance(self.grid, list):
+            raise DomainError(f"grid must be a list of cells, got {self.grid!r}")
+        for cell in self.grid:
+            if not isinstance(cell, Mapping):
+                raise DomainError(f"grid cell {cell!r} is not a mapping")
+        if not isinstance(self.seeds, list):
+            raise DomainError(f"seeds must be a list of integers, got {self.seeds!r}")
+        for seed in self.seeds:
+            solvers.check_number("seed", seed, "int")
         if not self.grid:
             raise DomainError("grid must not be empty")
         if not self.seeds:
@@ -143,10 +156,19 @@ PROBLEM_KEYS = {
     "two_class": ({"n", "d"}, {"seed", "separation", "C"}),
     "libsvm": ({"path"}, {"binarize_class", "C"}),
 }
+# the type each problem key's generator needs: "int", "float" or "str"
+PROBLEM_KEY_TYPES = {
+    **dict.fromkeys(("n", "d", "seed", "n_heavy"), "int"),
+    **dict.fromkeys(("decay", "separation", "C", "heavy_scale"), "float"),
+    "binarize_class": "float",
+    "path": "str",
+}
 
 
 def build_objective(problem: dict) -> FiniteSumObjective:
     """Instantiate the objective described by a problem spec dict."""
+    if not isinstance(problem, Mapping):
+        raise DomainError(f"problem must be a mapping, got {problem!r}")
     kind = problem.get("kind")
     if not isinstance(kind, str) or kind not in PROBLEM_KEYS:
         raise DomainError(f"unknown problem kind {kind!r}")
@@ -157,6 +179,12 @@ def build_objective(problem: dict) -> FiniteSumObjective:
     missing = required - problem.keys()
     if missing:
         raise DomainError(f"{kind} problem needs keys: {sorted(missing)}")
+    for key in sorted(problem.keys() - {"kind"}):
+        value, need = problem[key], PROBLEM_KEY_TYPES[key]
+        if need != "str":
+            solvers.check_number(key, value, need)
+        elif not isinstance(value, str):
+            raise DomainError(f"{key} must be a string, got {value!r}")
     if kind == "synthetic":
         ds = synthetic_spectrum_matrix(
             problem["n"], problem["d"], problem["decay"], problem.get("seed", 0)

@@ -30,7 +30,10 @@ from .errors import (
     UnsupportedLabels,
 )
 
-_RANK_TOL = 1e-12
+_RANK_TOL = 1e-12  # on the smallest singular value, so _RANK_TOL**2 on sigma
+# the Gram's smallest eigenvalue stands in for the SVD's only when it clears
+# both its rounding floor (d * eps * lambda_max) and _RANK_TOL**2 this many times
+_GRAM_MARGIN = 1e4
 _SYNTH_NOISE_STD = 1e-3
 
 
@@ -244,7 +247,11 @@ class LeastSquaresObjective(FiniteSumObjective):
     """F(x) = 0.5 * ||A x - b||^2 with f_i(x) = (n/2) * (a_i.x - b_i)^2.
 
     The Hessian A.T @ A is constant in x and factors exactly as B = A; both
-    are handed out read-only, so every caller shares one copy.
+    are handed out read-only, so every caller shares one copy.  `sigma` and
+    `L` are the extreme eigenvalues of that Gram.  `RankDeficient` is raised
+    when the smallest singular value of A is at most `_RANK_TOL`, that is
+    when sigma <= _RANK_TOL**2; where the Gram's rounding could decide that
+    differently, both bounds come from a values-only SVD of A instead.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, name: str = "least-squares"):
@@ -256,18 +263,22 @@ class LeastSquaresObjective(FiniteSumObjective):
         if b.shape[0] != A.shape[0]:
             raise ShapeError(f"{b.shape[0]} targets for {A.shape[0]} rows")
         self.n, self.d = A.shape
-        svals = np.linalg.svd(A, compute_uv=False)
-        if svals[-1] <= _RANK_TOL:
-            raise RankDeficient(
-                f"smallest singular value {svals[-1]:.3e} <= {_RANK_TOL:.0e}"
-            )
-        self._A = A
-        self._b = b
         self._hessian = A.T @ A
         self._hessian.flags.writeable = False
+        eigs = np.linalg.eigvalsh(self._hessian)
+        floor = max(self.d * np.finfo(float).eps * eigs[-1], _RANK_TOL**2)
+        if not eigs[0] > _GRAM_MARGIN * floor:
+            svals = np.linalg.svd(A, compute_uv=False)
+            if svals[-1] <= _RANK_TOL:
+                raise RankDeficient(
+                    f"smallest singular value {svals[-1]:.3e} <= {_RANK_TOL:.0e}"
+                )
+            eigs = svals[::-1] ** 2
+        self._A = A
+        self._b = b
         self._row_sq = np.einsum("ij,ij->i", A, A)
-        self.sigma = float(svals[-1] ** 2)
-        self.L = float(svals[0] ** 2)
+        self.sigma = float(eigs[0])
+        self.L = float(eigs[-1])
         self.K = float(self.n * self._row_sq.max())
         self.name = name
         self.memo = CurvatureMemo(A)
@@ -346,11 +357,12 @@ class SvmHinge2Objective(FiniteSumObjective):
         row_sq = np.einsum("ij,ij->i", self._A, self._A)
         self.sigma = 1.0
         self.K = float(1.0 + self.C * row_sq.max())
-        smax = np.linalg.svd(self._A, compute_uv=False)[0]
-        self.L = float(1.0 + self.C * smax**2 / self.n)
         self.name = data.name or "svm-hinge2"
         self.memo = CurvatureMemo(self._A)
         self._last = threading.local()
+        # every row is a support vector at 0, so the Hessian there bounds the
+        # Hessian at every x; it stays in the memo for the first steps at 0
+        self.L = float(np.linalg.eigvalsh(self.full_hessian(np.zeros(self.d)))[-1])
 
     def _at(self, x) -> _SvmPoint:
         """Margins and support set at x, from this thread's last x if it is
@@ -385,11 +397,18 @@ class SvmHinge2Objective(FiniteSumObjective):
         slack = np.maximum(0.0, 1.0 - self._at(x).margins)
         return x - (self.C / self.n) * (self._A.T @ (self._b * slack))
 
+    def _support_rows(self, point: _SvmPoint) -> np.ndarray:
+        """The rows of A in the support set: A itself, not a copy, when
+        every row is in it."""
+        if point.support.shape[0] == self.n:
+            return self._A
+        return self._A[point.support]
+
     def full_hessian(self, x):
         point = self._at(x)
 
         def compute():
-            sv = self._A[point.support]
+            sv = self._support_rows(point)
             return np.eye(self.d) + (self.C / self.n) * (sv.T @ sv)
 
         return self.memo.get("full_hessian", point.support_key, compute)
@@ -398,7 +417,7 @@ class SvmHinge2Objective(FiniteSumObjective):
         point = self._at(x)
 
         def compute():
-            sv = self._A[point.support]
+            sv = self._support_rows(point)
             return np.vstack([np.sqrt(self.C / self.n) * sv, np.eye(self.d)])
 
         return self.memo.get("hessian_factor", point.support_key, compute)

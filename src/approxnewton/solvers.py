@@ -85,19 +85,23 @@ _NUMBER_FIELDS = {
 }
 
 
+def check_number(name: str, value, kind: str) -> None:
+    """Raise DomainError unless `value` is a number of `kind` ("int" or
+    "float"); `bool` is not an integer here, numpy scalars are."""
+    cls, what = _NUMBER_FIELDS[kind]
+    if isinstance(value, bool) or not isinstance(value, cls):
+        raise DomainError(f"{name} must be {what}, got {value!r}")
+
+
 def check_number_fields(config) -> None:
-    """Raise DomainError unless every field of the dataclass instance that
-    is annotated `int` or `float` (optionally `| None`) holds a number of
-    that kind; `bool` is not an integer here, numpy scalars are."""
+    """`check_number` on every field of the dataclass instance that is
+    annotated `int` or `float`, optionally `| None` (and then None)."""
     # annotations are strings here (postponed evaluation), e.g. "int | None"
     for f in fields(config):
         kind, _, optional = f.type.partition(" | ")
         value = getattr(config, f.name)
-        if kind not in _NUMBER_FIELDS or (value is None and optional):
-            continue
-        cls, what = _NUMBER_FIELDS[kind]
-        if isinstance(value, bool) or not isinstance(value, cls):
-            raise DomainError(f"{f.name} must be {what}, got {value!r}")
+        if kind in _NUMBER_FIELDS and not (value is None and optional):
+            check_number(f.name, value, kind)
 
 
 @dataclass

@@ -714,6 +714,46 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ({"problem": "3"}, "problem must be a mapping, got 3"),
+            ({"problem": "{kind: synthetic, n: 40, d: four, decay: 1.5}"},
+             "d must be an integer, got 'four'"),
+            ({"problem": "{kind: synthetic, n: 40.0, d: 4, decay: 1.5}"},
+             "n must be an integer, got 40.0"),
+            ({"problem": "{kind: synthetic, n: 40, d: 4, decay: 1.5, seed: true}"},
+             "seed must be an integer, got True"),
+            ({"problem": "{kind: spiked, n: 40, d: 4, heavy_scale: big}"},
+             "heavy_scale must be a number, got 'big'"),
+            ({"problem": "{kind: two_class, n: 40, d: 4, C: [1]}"},
+             "C must be a number, got [1]"),
+            ({"problem": "{kind: libsvm, path: 3}"}, "path must be a string, got 3"),
+            ({"grid": "exact"}, "grid must be a list of cells, got 'exact'"),
+            ({"grid": "[exact]"}, "grid cell 'exact' is not a mapping"),
+            ({"seeds": "0"}, "seeds must be a list of integers, got 0"),
+            ({"seeds": "[0, one]"}, "seed must be an integer, got 'one'"),
+        ],
+    )
+    def test_misshapen_config_is_config_error_and_creates_nothing(
+        self, tmp_path, capsys, raw, message
+    ):
+        out = tmp_path / "out"
+        entries = {
+            "experiment": "custom",
+            "problem": "{kind: synthetic, n: 40, d: 4, decay: 1.5, seed: 3}",
+            "grid": "[{label: a, method: exact}]",
+            "seeds": "[0]",
+            "output_dir": str(out),
+            **raw,
+        }
+        path = tmp_path / "exp.yaml"
+        path.write_text("".join(f"{key}: {val}\n" for key, val in entries.items()))
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_builtin_experiment_with_zero_workers_is_config_error(self, tmp_path,
                                                                    capsys):
         args = ["run", "--experiment", "lipschitz_free", "--workers", "0",

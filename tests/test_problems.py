@@ -1,9 +1,12 @@
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxnewton import (
     DatasetMatrix,
@@ -19,8 +22,30 @@ from approxnewton import (
     synthetic_spectrum_matrix,
     synthetic_two_class,
 )
+from approxnewton.experiments import build_objective, default_config
+from approxnewton.metrics import compute_mstar_reference
+from approxnewton.problems import CurvatureMemo
 
 from conftest import fd_gradient, fd_hessian_vector
+
+EPS = np.finfo(float).eps
+# L / sigma of the sketch_sweep problem (decay 1.2, d = 54), the most
+# ill-conditioned one the experiments build
+SKETCH_SWEEP_KAPPA = 1.2**106
+
+
+def planted(n, d, smax, smin, seed):
+    """An n x d matrix with singular values spaced geometrically from smax
+    down to smin, in seeded random bases."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    U, _ = np.linalg.qr(gen.standard_normal((n, d)))
+    V, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    return (U * np.geomspace(smax, smin, d)) @ V.T
+
+
+def svd_calls():
+    """A patch of `np.linalg.svd` that counts its calls."""
+    return mock.patch("numpy.linalg.svd", side_effect=np.linalg.svd)
 
 
 class TestLeastSquares:
@@ -179,6 +204,99 @@ class TestSvmHinge2:
         B = svm_tiny.hessian_factor(x)
         H = svm_tiny.full_hessian(x)
         assert np.linalg.norm(B.T @ B - H) <= 1e-10 * np.linalg.norm(H)
+
+
+class TestCurvatureBounds:
+    """sigma and L from the d x d matrices the objectives form anyway."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(1, 54),
+        extra_rows=st.integers(0, 60),
+        log_kappa=st.floats(0.0, np.log(SKETCH_SWEEP_KAPPA)),
+        smax=st.floats(1e-2, 1e2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_least_squares_bounds_from_gram_match_svd(
+        self, d, extra_rows, log_kappa, smax, seed
+    ):
+        A = planted(d + extra_rows, d, smax, smax * np.exp(-log_kappa / 2), seed)
+        svals = np.linalg.svd(A, compute_uv=False)
+        with svd_calls() as svd:
+            obj = least_squares_objective(A, np.zeros(A.shape[0]))
+        assert svd.call_count == 0
+        # the Gram squares the condition number, so sigma's relative error
+        # grows like eps * kappa; L's stays at a few eps
+        kappa = svals[0] ** 2 / svals[-1] ** 2
+        assert obj.L == pytest.approx(svals[0] ** 2, rel=1e-13)
+        rtol = max(1e-13, 50 * EPS * kappa)
+        assert obj.sigma == pytest.approx(svals[-1] ** 2, rel=rtol)
+
+    @pytest.mark.parametrize("smin", [None, 1e-13])
+    def test_rank_deficient_still_rejected(self, smin):
+        A = planted(40, 6, 1.0, smin or 1.0, seed=5)
+        if smin is None:
+            A[:, -1] = A[:, 0]  # exactly rank deficient
+        with pytest.raises(RankDeficient):
+            least_squares_objective(A, np.zeros(40))
+
+    def test_gram_too_close_to_call_takes_the_svd(self):
+        A = planted(40, 6, 1.0, 1e-11, seed=5)
+        svals = np.linalg.svd(A, compute_uv=False)
+        with svd_calls() as svd:
+            obj = least_squares_objective(A, np.zeros(40))
+        assert svd.call_count == 1
+        assert obj.sigma == svals[-1] ** 2
+        assert obj.L == svals[0] ** 2
+
+    def test_builtin_problems_need_no_svd(self, tmp_path):
+        for name in ("lipschitz_free", "sketch_sweep", "regularized_sweep"):
+            problem = default_config(name, str(tmp_path)).problem
+            with svd_calls() as svd:
+                build_objective(problem)
+            assert svd.call_count == 0, name
+
+    def test_svm_l_bounds_every_hessian(self, svm_mid):
+        smax = np.linalg.svd(svm_mid._A, compute_uv=False)[0]
+        assert svm_mid.L == pytest.approx(
+            1.0 + svm_mid.C * smax**2 / svm_mid.n, rel=1e-12
+        )
+        gen = np.random.Generator(np.random.Philox(key=13))
+        for scale in (0.01, 0.1, 1.0):
+            x = scale * gen.standard_normal(svm_mid.d)
+            top = np.linalg.eigvalsh(svm_mid.full_hessian(x))[-1]
+            assert top <= svm_mid.L * (1 + 1e-12)
+
+    def test_svm_hessian_at_zero_uses_every_row_uncopied(self, svm_mid):
+        rows = np.arange(svm_mid.n)
+        A = svm_mid._A[rows]
+        expected = np.eye(svm_mid.d) + (svm_mid.C / svm_mid.n) * (A.T @ A)
+        H = svm_mid.full_hessian(np.zeros(svm_mid.d))
+        np.testing.assert_array_equal(H, expected)
+
+    def test_svm_hessian_at_zero_computed_once_for_bound_and_reference(
+        self, monkeypatch
+    ):
+        computed = []
+        get = CurvatureMemo.get
+
+        def counting_get(memo, kind, key, compute, factor=None):
+            def counted():
+                computed.append((kind, key))
+                return compute()
+
+            return get(memo, kind, key, counted, factor)
+
+        monkeypatch.setattr(CurvatureMemo, "get", counting_get)
+        problem = {"kind": "two_class", "n": 400, "d": 8, "seed": 20,
+                   "separation": 3.0, "C": 50.0}
+        obj = build_objective(problem)
+        compute_mstar_reference(obj, np.zeros(obj.d))
+        every_row = np.packbits(np.ones(obj.n, dtype=bool)).tobytes()
+        assert computed.count(("full_hessian", every_row)) == 1
+        hits, misses, _ = obj.memo.stats()["full_hessian"]
+        assert hits >= 1
+        assert misses == len({key for kind, key in computed if kind == "full_hessian"})
 
 
 class TestCalculusInvariants:
