@@ -6,7 +6,9 @@ An experiment is a problem, a grid of solver cells, and a seed list.  Every
 residual_mstar) collects the residual curves, and `render_svg` can turn it
 into a minimal log-scale line chart.  Wall-clock timings go to
 `timing_<tag>.csv` sidecars and `metadata.txt`, so re-running a config with
-the same seeds reproduces the deterministic CSV bodies byte for byte.
+the same seeds reproduces the deterministic CSV bodies byte for byte.  The
+config is checked before anything runs, and the output directory is created
+only once every run has ended.
 
 Exit codes: 0 all runs completed, 1 configuration error, 2 some runs failed
 (failures are recorded in the summary, never fatal).
@@ -14,13 +16,14 @@ Exit codes: 0 all runs completed, 1 configuration error, 2 some runs failed
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
 import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 import scipy
@@ -28,7 +31,7 @@ import yaml
 
 from . import metrics, rng, sketch, solvers
 from .errors import ApproxNewtonError, DomainError
-from .hessian_approx import EXACT, SUBSAMPLED
+from .hessian_approx import EXACT, SKETCHED, SUBSAMPLED
 from .problems import (
     FiniteSumObjective,
     least_squares_objective,
@@ -109,8 +112,6 @@ class ExperimentConfig:
                 raise DomainError(f"grid cell {cell!r} is not a mapping")
         if not isinstance(self.seeds, list):
             raise DomainError(f"seeds must be a list of integers, got {self.seeds!r}")
-        for seed in self.seeds:
-            solvers.check_number("seed", seed, "int")
         if not self.grid:
             raise DomainError("grid must not be empty")
         if not self.seeds:
@@ -122,16 +123,15 @@ class ExperimentConfig:
 
 @dataclass
 class RunOutcome:
+    """One run of one cell: its trace, or the error that ended it, kept as
+    "<Type>: <message>" so that no traceback keeps the run's arrays alive."""
+
     tag: str
     seed: int
-    status: str
-    iters: int
-    final_grad_mstar: float | None
-    rate_class: str
-    rho: float | None
-    trace: solvers.IterationTrace | None
-    wall_ms: list[float] = field(default_factory=list)
-    error: str | None = None  # "<Type>: <message>" of an errored run
+    trace: solvers.IterationTrace | None = None
+    rate_class: str = ""
+    rho: float | None = None
+    error: str | None = None
 
 
 def _fmt(x) -> str:
@@ -156,26 +156,38 @@ PROBLEM_KEYS = {
     "two_class": ({"n", "d"}, {"seed", "separation", "C"}),
     "libsvm": ({"path"}, {"binarize_class", "C"}),
 }
+# the one problem kind of the embedding check, which builds no objective
+EMBEDDING_PROBLEM = {"embedding": (set(), {"d", "m", "eps", "seed"})}
+EMBEDDING_CELL_KEYS = frozenset({"sketch_kind", "sketch_size"})
 # the type each problem key's generator needs: "int", "float" or "str"
 PROBLEM_KEY_TYPES = {
-    **dict.fromkeys(("n", "d", "seed", "n_heavy"), "int"),
-    **dict.fromkeys(("decay", "separation", "C", "heavy_scale"), "float"),
+    **dict.fromkeys(("n", "d", "m", "seed", "n_heavy"), "int"),
+    **dict.fromkeys(("decay", "eps", "separation", "C", "heavy_scale"), "float"),
     "binarize_class": "float",
     "path": "str",
 }
 
 
-def build_objective(problem: dict) -> FiniteSumObjective:
-    """Instantiate the objective described by a problem spec dict."""
+def _check_seed(seed) -> None:
+    # `rng.generator` keys its Philox generator with one uint64
+    solvers.check_number("seed", seed, "int")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+
+
+def _check_problem(problem, kinds: dict) -> None:
+    """Raise DomainError unless `problem` is a spec of one of `kinds`, a
+    {kind: (required keys, optional keys)} form, with every value of the
+    type `PROBLEM_KEY_TYPES` names."""
     if not isinstance(problem, Mapping):
         raise DomainError(f"problem must be a mapping, got {problem!r}")
     kind = problem.get("kind")
-    if not isinstance(kind, str) or kind not in PROBLEM_KEYS:
+    if not isinstance(kind, str) or kind not in kinds:
         raise DomainError(f"unknown problem kind {kind!r}")
-    required, optional = PROBLEM_KEYS[kind]
+    required, optional = kinds[kind]
     unknown = problem.keys() - required - optional - {"kind"}
     if unknown:
-        raise DomainError(f"unknown {kind} problem keys: {sorted(unknown)}")
+        raise DomainError(f"unknown {kind} problem keys: {sorted(unknown, key=str)}")
     missing = required - problem.keys()
     if missing:
         raise DomainError(f"{kind} problem needs keys: {sorted(missing)}")
@@ -185,6 +197,14 @@ def build_objective(problem: dict) -> FiniteSumObjective:
             solvers.check_number(key, value, need)
         elif not isinstance(value, str):
             raise DomainError(f"{key} must be a string, got {value!r}")
+    if "seed" in problem:
+        _check_seed(problem["seed"])
+
+
+def build_objective(problem: dict) -> FiniteSumObjective:
+    """Instantiate the objective described by a problem spec dict."""
+    _check_problem(problem, PROBLEM_KEYS)
+    kind = problem["kind"]
     if kind == "synthetic":
         ds = synthetic_spectrum_matrix(
             problem["n"], problem["d"], problem["decay"], problem.get("seed", 0)
@@ -249,75 +269,58 @@ def run_cell(
             rate_class, rho = report.classification, report.rho
         except ApproxNewtonError:
             rate_class, rho = "insufficient_data", None
-        return RunOutcome(
-            tag=tag,
-            seed=seed,
-            status=trace.status,
-            iters=trace.n_steps,
-            final_grad_mstar=trace.grad_mstar_norms[-1],
-            rate_class=rate_class,
-            rho=rho,
-            trace=trace,
-            wall_ms=list(trace.wall_ms),
-        )
+        return RunOutcome(tag, seed, trace, rate_class, rho)
     except (ApproxNewtonError, np.linalg.LinAlgError) as exc:
-        return RunOutcome(
-            tag=tag,
-            seed=seed,
-            status=f"error:{type(exc).__name__}",
-            iters=0,
-            final_grad_mstar=None,
-            rate_class="",
-            rho=None,
-            trace=None,
-            error=f"{type(exc).__name__}: {exc}".replace("\n", " "),
-        )
+        error = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        return RunOutcome(tag, seed, error=error)
 
 
 def _trace_rows(trace: solvers.IterationTrace):
-    rows = []
     for t, mstar in enumerate(trace.grad_mstar_norms):
         stepped = t < trace.n_steps
-        rows.append(
-            (
-                t,
-                trace.grad_norms[t],
-                mstar,
-                trace.inner_residuals[t] if stepped else None,
-                "" if stepped else trace.status,
-            )
+        yield (
+            t,
+            trace.grad_norms[t],
+            mstar,
+            trace.inner_residuals[t] if stepped else None,
+            "" if stepped else trace.status,
         )
-    return rows
 
 
-EMBEDDING_PROBLEM_KEYS = frozenset({"kind", "d", "m", "eps", "seed"})
-EMBEDDING_CELL_KEYS = frozenset({"sketch_kind", "sketch_size"})
+def _summary_row(o: RunOutcome) -> tuple:
+    trace = o.trace
+    if trace is None:  # an errored run: "error:<Type>"
+        return (o.tag, o.seed, "error:" + o.error.split(":")[0], 0, None, "", None)
+    final = trace.grad_mstar_norms[-1]
+    return (o.tag, o.seed, trace.status, trace.n_steps, final, o.rate_class, o.rho)
 
 
-def _check_embedding_config(cfg: ExperimentConfig) -> None:
-    unknown = set(cfg.problem) - EMBEDDING_PROBLEM_KEYS
-    if unknown:
-        raise DomainError(f"unknown embedding problem keys: {sorted(unknown)}")
-    for cell in cfg.grid:
-        unknown = set(cell) - EMBEDDING_CELL_KEYS
-        if unknown:
-            raise DomainError(f"unknown embedding cell keys: {sorted(unknown)}")
-        if "sketch_kind" not in cell:
-            raise DomainError(f"embedding cell {cell} has no sketch_kind")
-        if cell["sketch_kind"] not in sketch.ALL_KINDS:
-            raise DomainError(f"unknown sketch kind {cell['sketch_kind']!r}")
-
-
-def _check_cell_keys(cfg: ExperimentConfig) -> None:
+def _check_config(cfg: ExperimentConfig) -> None:
+    """Raise DomainError for a config that cannot run as written."""
+    for seed in cfg.seeds:
+        _check_seed(seed)
+    if cfg.experiment == EMBEDDING_CHECK:
+        _check_problem(cfg.problem, EMBEDDING_PROBLEM)
+        for cell in cfg.grid:
+            unknown = sorted(cell.keys() - EMBEDDING_CELL_KEYS, key=str)
+            if unknown:
+                raise DomainError(f"unknown embedding cell keys: {unknown}")
+            # an embedding cell holds the sketch settings of a sketched method
+            solvers.SolverConfig(hessian_method=SKETCHED, **cell)
+        return
     for cell in cfg.grid:
         unknown = set(cell) - CELL_KEYS
         if unknown:
-            raise DomainError(f"unknown cell keys: {sorted(unknown)}")
+            raise DomainError(f"unknown cell keys: {sorted(unknown, key=str)}")
         if not isinstance(cell.get("method", ""), str):
             raise DomainError(f"method must be a string, got {cell['method']!r}")
         fixed = sorted(PRESETS.get(cell.get("method"), {}).keys() & cell.keys())
         if fixed:
             raise DomainError(f"method {cell['method']} fixes {fixed}: {cell}")
+        warm = cell.get("warm_start_steps", 0)
+        solvers.check_number("warm_start_steps", warm, "int")
+        if warm < 0:
+            raise DomainError(f"warm_start_steps must be >= 0, got {warm}")
         _solver_config(cell, cfg, cfg.seeds[0])
     # a run's output files are named by its label and seed
     labels = [str(_label(cell)) for cell in cfg.grid]
@@ -335,14 +338,18 @@ def _check_cell_keys(cfg: ExperimentConfig) -> None:
         raise DomainError(f"repeated seeds: {cfg.seeds}")
 
 
-def _run_embedding_check(cfg: ExperimentConfig, out_dir: str) -> int:
+def _embedding_tables(cfg: ExperimentConfig) -> dict:
+    """Check every grid sketch kind at every seed on one Gaussian m x d
+    matrix; the success rate per kind is the Monte-Carlo embedding check."""
     problem = cfg.problem
     d = problem.get("d", 10)
     m = problem.get("m", 40 * d)
     eps = problem.get("eps", 0.5)
+    if not (1 <= d <= m and 0.0 < eps < 1.0):
+        raise DomainError(f"embedding needs 1 <= d <= m and eps in (0,1), "
+                          f"got d={d}, m={m}, eps={eps}")
     A = rng.generator(problem.get("seed", 0)).standard_normal((m, d))
-    rows = []
-    rates = []
+    rows, rates = [], []
     for cell in cfg.grid:
         kind = cell["sketch_kind"]
         s = cell.get("sketch_size") or sketch.recommended_sketch_size(kind, d, eps)
@@ -356,84 +363,61 @@ def _run_embedding_check(cfg: ExperimentConfig, out_dir: str) -> int:
             successes += report.holds
             rows.append((kind, seed, report.achieved_eps, int(report.holds)))
         rates.append((kind, s, successes / len(cfg.seeds)))
-    _write_csv(os.path.join(out_dir, "embedding_summary.csv"), EMBEDDING_COLUMNS, rows)
-    _write_csv(
-        os.path.join(out_dir, "embedding_rates.csv"),
-        ("kind", "sketch_size", "success_rate"),
-        rates,
+    return {
+        "embedding_summary.csv": (EMBEDDING_COLUMNS, rows),
+        "embedding_rates.csv": (("kind", "sketch_size", "success_rate"), rates),
+    }
+
+
+def _grid_tables(cfg: ExperimentConfig, outcomes: list[RunOutcome]) -> dict:
+    """The grid's tables; each row is made as its file is written."""
+    traced = [o for o in outcomes if o.trace is not None]
+    tables = {}
+    for o in traced:
+        tables[f"trace_{o.tag}.csv"] = (TRACE_COLUMNS, _trace_rows(o.trace))
+        tables[f"timing_{o.tag}.csv"] = (("t", "wall_ms"), enumerate(o.trace.wall_ms))
+    tables["summary.csv"] = (SUMMARY_COLUMNS, map(_summary_row, outcomes))
+    tables[f"plotdata_{cfg.experiment}.csv"] = (
+        ("series_label", "t", "residual_mstar"),
+        ((o.tag, t, r) for o in traced for t, r in enumerate(o.trace.grad_mstar_norms)),
     )
-    return 0
+    return tables
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Run every grid cell at every seed; write traces, summary, plot data."""
-    embedding = cfg.experiment == EMBEDDING_CHECK
-    if embedding:
-        _check_embedding_config(cfg)
-    else:
-        _check_cell_keys(cfg)
-    out_dir = cfg.output_dir
+    """Run every grid cell at every seed (or the embedding check), then
+    write the tables and `metadata.txt`."""
+    _check_config(cfg)
     started = time.time()
-    if embedding:
-        os.makedirs(out_dir, exist_ok=True)
-        code = _run_embedding_check(cfg, out_dir)
-        _write_metadata(out_dir, cfg, started, 1, [])
-        return code
-
-    obj = build_objective(cfg.problem)
-    os.makedirs(out_dir, exist_ok=True)
-    ref = metrics.compute_mstar_reference(obj, np.zeros(obj.d))
-
-    jobs = [(cell, seed) for cell in cfg.grid for seed in cfg.seeds]
-    workers = cfg.workers or min(os.cpu_count() or 1, len(jobs))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(
-            pool.map(lambda js: run_cell(obj, ref, js[0], cfg, js[1]), jobs)
-        )
-
-    summary_rows = []
-    plot_rows = []
-    for outcome in outcomes:
-        summary_rows.append(
-            (
-                outcome.tag,
-                outcome.seed,
-                outcome.status,
-                outcome.iters,
-                outcome.final_grad_mstar,
-                outcome.rate_class,
-                outcome.rho,
+    workers, outcomes, memo = 1, [], None
+    if cfg.experiment == EMBEDDING_CHECK:
+        tables = _embedding_tables(cfg)
+    else:
+        obj = build_objective(cfg.problem)
+        ref = metrics.compute_mstar_reference(obj, np.zeros(obj.d))
+        jobs = [(cell, seed) for cell in cfg.grid for seed in cfg.seeds]
+        workers = cfg.workers or min(os.cpu_count() or 1, len(jobs))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(
+                pool.map(lambda js: run_cell(obj, ref, js[0], cfg, js[1]), jobs)
             )
-        )
-        if outcome.trace is not None:
-            _write_csv(
-                os.path.join(out_dir, f"trace_{outcome.tag}.csv"),
-                TRACE_COLUMNS,
-                _trace_rows(outcome.trace),
-            )
-            _write_csv(
-                os.path.join(out_dir, f"timing_{outcome.tag}.csv"),
-                ("t", "wall_ms"),
-                list(enumerate(outcome.wall_ms)),
-            )
-            for t, val in enumerate(outcome.trace.grad_mstar_norms):
-                plot_rows.append((outcome.tag, t, val))
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, summary_rows)
-    _write_csv(
-        os.path.join(out_dir, f"plotdata_{cfg.experiment}.csv"),
-        ("series_label", "t", "residual_mstar"),
-        plot_rows,
-    )
-    _write_metadata(out_dir, cfg, started, workers, outcomes, obj.memo)
-    failed = any(o.status.startswith("error:") for o in outcomes)
-    return 2 if failed else 0
+        memo = obj.memo
+        tables = _grid_tables(cfg, outcomes)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    for name, (columns, rows) in tables.items():
+        _write_csv(os.path.join(cfg.output_dir, name), columns, rows)
+    _write_metadata(cfg, started, workers, outcomes, memo)
+    return 2 if any(o.error is not None for o in outcomes) else 0
 
 
-def _write_metadata(out_dir, cfg, started, workers, outcomes, memo=None) -> None:
+def _write_metadata(cfg, started, workers, outcomes, memo) -> None:
     # Everything time- or machine-dependent lives here, outside the
     # deterministic CSVs.
-    with open(os.path.join(out_dir, "metadata.txt"), "w") as fh:
+    with open(os.path.join(cfg.output_dir, "metadata.txt"), "w") as fh:
         fh.write(f"experiment: {cfg.experiment}\n")
+        # values JSON cannot hold (a YAML date as a label) are written as str
+        config = json.dumps(asdict(cfg), sort_keys=True, default=str)
+        fh.write(f"config: {config}\n")
         fh.write(f"started_unix: {started:.3f}\n")
         fh.write(f"elapsed_s: {time.time() - started:.3f}\n")
         fh.write(f"python: {sys.version.split()[0]}\n")
@@ -447,7 +431,8 @@ def _write_metadata(out_dir, cfg, started, workers, outcomes, memo=None) -> None
             for kind, (hits, misses, held) in memo.stats().items():
                 fh.write(f"memo {kind}: hits={hits} misses={misses} bytes={held}\n")
         for o in outcomes:
-            fh.write(f"run {o.tag}: total_wall_ms={sum(o.wall_ms):.3f}\n")
+            wall_ms = sum(o.trace.wall_ms) if o.trace is not None else 0.0
+            fh.write(f"run {o.tag}: total_wall_ms={wall_ms:.3f}\n")
         for o in outcomes:
             if o.error is not None:
                 fh.write(f"error {o.tag}: {o.error}\n")
@@ -465,7 +450,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
             data[key] = val
     unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
-        raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        raise DomainError(f"unknown config keys: {sorted(unknown, key=str)}")
     data.setdefault("output_dir", os.environ.get(OUTPUT_ENV_VAR, "approxnewton-out"))
     try:
         return ExperimentConfig(**data)

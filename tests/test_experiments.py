@@ -1,3 +1,4 @@
+import json
 import os
 from dataclasses import fields
 
@@ -273,6 +274,14 @@ class TestRunExperiment:
         errors = [line for line in metadata if line.startswith("error ")]
         assert errors == ["error lev_s0: LinAlgError: SVD did not converge"]
 
+    def test_metadata_echoes_resolved_config(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        cfg.grid[0]["warm_start_steps"] = 2
+        run_experiment(cfg)
+        lines = read(tmp_path / "metadata.txt").splitlines()
+        (line,) = [line for line in lines if line.startswith("config: ")]
+        assert ExperimentConfig(**json.loads(line[len("config: "):])) == cfg
+
     def test_metadata_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -512,6 +521,21 @@ class TestCli:
         assert main(["run", str(path)]) == 0
         assert (tmp_path / "out" / "summary.csv").exists()
 
+    def test_config_echo_writes_a_yaml_date_label_as_a_string(self, tmp_path,
+                                                               capsys):
+        # YAML reads an unquoted 2020-01-01 as a date, which JSON cannot hold
+        path = tmp_path / "exp.yaml"
+        out = tmp_path / "out"
+        path.write_text(
+            "experiment: custom\n"
+            "problem: {kind: synthetic, n: 40, d: 4, decay: 1.5}\n"
+            f"grid: [{{label: 2020-01-01, method: exact}}]\nseeds: [0]\n"
+            f"output_dir: {out}\n"
+        )
+        assert main(["run", str(path)]) == 0
+        assert (out / "trace_2020-01-01_s0.csv").exists()
+        assert '"label": "2020-01-01"' in read(out / "metadata.txt")
+
     def test_run_without_config_is_config_error(self, capsys):
         assert main(["run"]) == 1
 
@@ -610,6 +634,35 @@ class TestCli:
             ({"grid": f"[{{label: {'x' * 250}, method: exact}}]"}, [], "too long"),
             ({"workers": "'2'"}, [], "workers must be an integer, got '2'"),
             ({"grid": "[{method: [exact]}]"}, [], "method must be a string"),
+            ({"seeds": "[-1]"}, [], "seed must be in [0, 2**64), got -1"),
+            ({"seeds": f"[{2**64}]"}, [], f"seed must be in [0, 2**64), got {2**64}"),
+            ({}, ["--seed", "-1"], "seed must be in [0, 2**64), got -1"),
+            ({"problem": "{kind: synthetic, n: 40, d: 4, decay: 1.5, seed: -2}"}, [],
+             "seed must be in [0, 2**64), got -2"),
+            ({"problem": "{kind: embedding, d: 4, m: 80}"}, [],
+             "unknown problem kind 'embedding'"),
+            ({"experiment": "embedding_check", "grid": "[{sketch_kind: gaussian}]"},
+             [], "unknown problem kind 'synthetic'"),
+            ({"experiment": "embedding_check", "grid": "[{sketch_kind: gaussian}]",
+              "problem": "{kind: embedding, d: four, m: 80}"}, [],
+             "d must be an integer, got 'four'"),
+            ({"experiment": "embedding_check", "grid": "[{sketch_kind: gaussian}]",
+              "problem": "{kind: embedding, d: 4, m: 80, eps: 2}"}, [], "eps=2"),
+            ({"experiment": "embedding_check", "grid": "[{sketch_kind: gaussian}]",
+              "problem": "{kind: embedding, d: 6, m: 3}"}, [], "d=6, m=3"),
+            ({"experiment": "embedding_check", "grid": "[{sketch_kind: gaussian}]",
+              "problem": "{kind: embedding, d: 4, m: 80, seed: -2}"}, [],
+             "seed must be in [0, 2**64), got -2"),
+            # YAML reads an unquoted 1 as an int key, which sorts with no string
+            ({"problem": "{kind: synthetic, n: 40, d: 4, decay: 1.5, 1: x, a: y}"},
+             [], "unknown synthetic problem keys: [1, 'a']"),
+            ({"grid": "[{method: exact, 1: x, a: y}]"}, [],
+             "unknown cell keys: [1, 'a']"),
+            ({"experiment": "embedding_check",
+              "problem": "{kind: embedding, d: 4, m: 80}",
+              "grid": "[{sketch_kind: gaussian, 1: x, a: y}]"}, [],
+             "unknown embedding cell keys: [1, 'a']"),
+            ({1: "x", "a": "y"}, [], "unknown config keys: [1, 'a']"),
         ],
     )
     def test_bad_setting_is_config_error(self, tmp_path, capsys, raw, args, message):
@@ -628,7 +681,7 @@ class TestCli:
         assert err.startswith("config error: ")
         assert message in err
         assert err.count("\n") == 1
-        assert not (tmp_path / "out" / "summary.csv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "experiment, cell, message",
@@ -646,8 +699,22 @@ class TestCli:
                        "eps0_schedule: log-decay}",
              "unknown eps0_schedule 'log-decay'"),
             ("custom", "{label: a/b, method: exact}", "not a plain file name"),
+            ("custom", "{method: exact, warm_start_steps: -1}",
+             "warm_start_steps must be >= 0, got -1"),
+            ("custom", "{method: exact, warm_start_steps: '3'}",
+             "warm_start_steps must be an integer, got '3'"),
+            ("custom", "{method: exact, warm_start_steps: 2.5}",
+             "warm_start_steps must be an integer, got 2.5"),
+            ("custom", "{method: exact, warm_start_steps: true}",
+             "warm_start_steps must be an integer, got True"),
             ("embedding_check", "{sketch_kind: gausian}",
-             "unknown sketch kind 'gausian'"),
+             "unknown sketch_kind 'gausian'"),
+            ("embedding_check", "{sketch_kind: gaussian, sketch_size: 0}",
+             "sketch_size must be >= 1, got 0"),
+            ("embedding_check", "{sketch_kind: gaussian, sketch_size: abc}",
+             "sketch_size must be an integer, got 'abc'"),
+            ("embedding_check", "{sketch_kind: gaussian, sketch_size: 2.5}",
+             "sketch_size must be an integer, got 2.5"),
         ],
     )
     def test_bad_cell_is_config_error_and_creates_nothing(
@@ -763,6 +830,16 @@ class TestCli:
         assert err == "config error: workers must be a positive integer, got 0\n"
         assert not (tmp_path / "summary.csv").exists()
 
+    def test_builtin_experiment_with_negative_seed_is_config_error(self, tmp_path,
+                                                                    capsys):
+        out = tmp_path / "out"
+        args = ["run", "--experiment", "lipschitz_free", "--seed", "-1",
+                "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: seed must be in [0, 2**64), got -1\n"
+        assert not out.exists()
+
     def test_plot_subcommand(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, seeds=(0,))
         run_experiment(cfg)
@@ -776,7 +853,9 @@ class TestCli:
         assert "gaussian" in out
 
     @pytest.mark.parametrize(
-        "flags", [["--eps", "1.5"], ["--d", "6", "--m", "3"], ["--seeds", "0"]]
+        "flags",
+        [["--eps", "1.5"], ["--d", "6", "--m", "3"], ["--seeds", "0"],
+         ["--problem-seed", "-1"]],
     )
     def test_verify_embedding_bad_input_is_config_error(self, tmp_path, capsys,
                                                         flags):

@@ -1,10 +1,17 @@
-"""The README's list of cell keys and methods, and its table of the
-surrogate settings each method reads, agree with the harness."""
+"""The README's list of cell keys and methods, its problem keys by kind,
+and its table of the surrogate settings each method reads, agree with the
+harness."""
 
 import os
 import re
 
-from approxnewton.experiments import CELL_KEYS, ExperimentConfig, run_experiment
+from approxnewton.experiments import (
+    CELL_KEYS,
+    EMBEDDING_PROBLEM,
+    PROBLEM_KEYS,
+    ExperimentConfig,
+    run_experiment,
+)
 from approxnewton.solvers import METHOD_SETTINGS
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
@@ -34,6 +41,21 @@ def cell_keys_sentence():
 def test_readme_cell_keys_match_harness():
     outside_parentheses = re.sub(r"\([^)]*\)", "", cell_keys_sentence())
     assert set(re.findall(r"`(\w+)`", outside_parentheses)) == CELL_KEYS
+
+
+def test_readme_problem_keys_match_harness():
+    """Each "kind: required; optional" line under "keys by kind"."""
+    block = readme_text().split("# keys by kind, required then optional:\n", 1)
+    assert len(block) == 2, "README has no 'keys by kind' list"
+    listed = {}
+    for line in block[1].splitlines():
+        match = re.fullmatch(r"\s*#\s+(\w+):([^;]*);([^(]*)(\(.*\))?", line)
+        if not match:
+            break
+        kind, required, optional, _ = match.groups()
+        listed[kind] = (set(re.findall(r"\w+", required)),
+                        set(re.findall(r"\w+", optional)))
+    assert listed == {**PROBLEM_KEYS, **EMBEDDING_PROBLEM}
 
 
 def test_readme_methods_take_a_step(tmp_path):
