@@ -3,7 +3,7 @@
 Subcommands:
   run <config.yaml>     run an experiment config (or --experiment <name> for
                         a built-in definition); flags override config keys
-  plot <run_dir>        rebuild plot data and an SVG chart from a run dir
+  plot <run_dir>        render an SVG chart of a run dir's plot data
   verify-embedding      Monte-Carlo subspace-embedding success rates
   gen-synthetic         generate a controlled-spectrum least-squares problem
 
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--workers", type=int)
     run_p.set_defaults(func=_cmd_run)
 
-    plot_p = sub.add_parser("plot", help="rebuild plot data from a run directory")
+    plot_p = sub.add_parser("plot", help="render a run directory's plot data")
     plot_p.add_argument("run_dir")
     plot_p.set_defaults(func=_cmd_plot)
 

@@ -322,12 +322,15 @@ def _check_config(cfg: ExperimentConfig) -> None:
         if warm < 0:
             raise DomainError(f"warm_start_steps must be >= 0, got {warm}")
         _solver_config(cell, cfg, cfg.seeds[0])
-    # a run's output files are named by its label and seed
+    # a run's output files are named by its label and seed, and its CSV
+    # rows hold the label as one field
     labels = [str(_label(cell)) for cell in cfg.grid]
     seed_digits = max(len(str(seed)) for seed in cfg.seeds)
     for label in labels:
         if any(sep and sep in label for sep in (os.sep, os.altsep, "\0")):
             raise DomainError(f"label {label!r} is not a plain file name")
+        if any(char in label for char in ",\n\r"):
+            raise DomainError(f"label {label!r} does not fit in a CSV field")
         # the longest name a run writes is timing_<label>_s<seed>.csv
         if len(f"timing_{label}_s.csv".encode()) + seed_digits > NAME_MAX:
             raise DomainError(f"label {label[:20]!r}... is too long for a file name")
@@ -441,7 +444,11 @@ def _write_metadata(cfg, started, workers, outcomes, memo) -> None:
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     """Parse a YAML experiment file, applying CLI overrides on top."""
     with open(path) as fh:
-        data = yaml.safe_load(fh)
+        try:
+            data = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            message = " ".join(str(exc).split())  # the parser's spans lines
+            raise DomainError(f"{path} is not valid YAML: {message}") from exc
     if not isinstance(data, dict):
         raise DomainError("config file must contain a mapping")
     data = dict(data)
@@ -562,45 +569,39 @@ def default_config(
     raise DomainError(f"no default config for experiment {experiment!r}")
 
 
-def emit_plot_data(run_dir: str) -> list[str]:
-    """Rebuild plot-ready files from a finished run directory.
+def _run_file(run_dir: str, name: str) -> str:
+    path = os.path.join(run_dir, name)
+    if not os.path.isfile(path):
+        raise DomainError(f"expected file missing: {path}")
+    return path
 
-    Returns the paths written; raises DomainError when the expected summary
-    or trace files are missing.
+
+def emit_plot_data(run_dir: str) -> list[str]:
+    """Render `plot_replot.svg` from a finished run directory's own
+    `plotdata_<experiment>.csv`, the experiment named in its `metadata.txt`.
+
+    Returns the paths written; raises DomainError when either file is
+    missing or the plot data holds no curve.
     """
-    summary_path = os.path.join(run_dir, "summary.csv")
-    if not os.path.isfile(summary_path):
-        raise DomainError(f"expected file missing: {summary_path}")
-    with open(summary_path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    tag_idx = header.index("tag")
+    metadata = _run_file(run_dir, "metadata.txt")
+    with open(metadata) as fh:
+        names = [line.partition(": ")[2].strip()
+                 for line in fh if line.startswith("experiment: ")]
+    if not names:
+        raise DomainError(f"no experiment line in {metadata}")
     series: dict[str, list[tuple[int, float]]] = {}
-    missing = []
-    for row in rows:
-        tag = row[tag_idx]
-        trace_path = os.path.join(run_dir, f"trace_{tag}.csv")
-        if not os.path.isfile(trace_path):
-            missing.append(trace_path)
-            continue
-        pts = []
-        with open(trace_path) as fh:
-            fh.readline()
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                if parts[2]:
-                    pts.append((int(parts[0]), float(parts[2])))
-        series[tag] = pts
-    if missing:
-        raise DomainError(f"expected trace files missing: {missing}")
+    with open(_run_file(run_dir, f"plotdata_{names[0]}.csv")) as fh:
+        fh.readline()
+        for line in fh:
+            label, t, residual = line.rstrip("\n").split(",")
+            pts = series.setdefault(label, [])
+            if residual:
+                pts.append((int(t), float(residual)))
     if not series:
         raise DomainError("no trace data found to plot")
-    out_csv = os.path.join(run_dir, "plotdata_replot.csv")
-    flat = [(tag, t, v) for tag, pts in sorted(series.items()) for t, v in pts]
-    _write_csv(out_csv, ("series_label", "t", "residual_mstar"), flat)
     out_svg = os.path.join(run_dir, "plot_replot.svg")
     render_svg(series, out_svg)
-    return [out_csv, out_svg]
+    return [out_svg]
 
 
 def render_svg(

@@ -174,15 +174,13 @@ def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:
     return _root_plus_shift(SB, 1, 0.0, meta)
 
 
-def _sampled_root(obj, x, size: int, seed: int, pool):
+def _sampled_root(obj, x, size: int, seed: int):
     """Root R, divisor k and shift c of the subsampled Hessian R^T R / k + c I,
-    with its metadata.  `pool` is `obj.hessian_sample_pool(x)` when the
-    caller already has it."""
+    with its metadata."""
     if size < 1:
         raise ShapeError(f"sample size must be >= 1, got {size}")
     c = float(obj.regularizer_scale)
-    if pool is None:
-        pool = obj.hessian_sample_pool(x)
+    pool = obj.hessian_sample_pool(x)
     if pool.size == 0:
         idx = pool
     else:
@@ -201,7 +199,6 @@ def subsampled_hessian(
     size: int,
     seed: int,
     alpha: float = 0.0,
-    pool: np.ndarray | None = None,
 ) -> ApproxHessian:
     """Mean of `size` per-sample loss Hessians (uniform, with replacement)
     plus the objective's split-out regularizer Hessian `regularizer_scale * I`.
@@ -212,18 +209,13 @@ def subsampled_hessian(
     if not alpha >= 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     x = np.asarray(x, dtype=float)
-    R, k, c, meta = _sampled_root(obj, x, size, seed, pool)
+    R, k, c, meta = _sampled_root(obj, x, size, seed)
     meta["alpha"] = float(alpha)
     return _root_plus_shift(R, k, c + alpha, meta)
 
 
 def newsamp_hessian(
-    obj: FiniteSumObjective,
-    x: np.ndarray,
-    size: int,
-    r: int,
-    seed: int,
-    pool: np.ndarray | None = None,
+    obj: FiniteSumObjective, x: np.ndarray, size: int, r: int, seed: int
 ) -> ApproxHessian:
     """Subsampled Hessian with its eigenvalue tail floored.
 
@@ -236,7 +228,7 @@ def newsamp_hessian(
     if not 0 <= r < obj.d:
         raise DomainError(f"need 0 <= r < d={obj.d}, got r={r}")
     x = np.asarray(x, dtype=float)
-    R, k, c, meta = _sampled_root(obj, x, size, seed, pool)
+    R, k, c, meta = _sampled_root(obj, x, size, seed)
     if r >= R.shape[0]:
         raise DomainError(
             f"rank r={r} needs a sampled root of more than r rows, got {R.shape[0]}"

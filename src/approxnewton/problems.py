@@ -4,10 +4,10 @@ Objectives expose the average form F(x) = (1/n) * sum_i f_i(x) together with
 per-sample derivatives, so that uniform subsampling of the f_i is unbiased.
 Every value an objective returns is a pure function of x (and of the data
 it was built on), and objectives are safe to evaluate concurrently.  Behind
-them sits a bounded, thread-safe `CurvatureMemo`: the arrays that the runs
-of one experiment share (the SVM Hessian of a support set, the
-decompositions of a Hessian factor) are computed once while they stay in
-it, and handed out read-only.
+them sits a bounded, thread-safe `CurvatureMemo`: the curvature arrays that
+the runs of one experiment share (a Hessian, its factor and the factor's
+decompositions) are keyed by the objective's `curvature_key` at x, computed
+once while they stay in it, and handed out read-only.
 """
 
 from __future__ import annotations
@@ -67,15 +67,13 @@ class DatasetMatrix:
 
 
 class _Entry:
-    """One memo slot: the value (a future while it is being computed), the
-    factor it keeps alive so that the factor's id names no other array, and
+    """One memo slot: the value (a future while it is being computed) and
     the bytes it counts."""
 
-    __slots__ = ("future", "factor", "nbytes")
+    __slots__ = ("future", "nbytes")
 
-    def __init__(self, factor):
+    def __init__(self):
         self.future = Future()
-        self.factor = factor
         self.nbytes = 0
 
 
@@ -87,14 +85,12 @@ class CurvatureMemo:
     lock by the first thread that asks for it; a thread that asks while it
     is being computed waits for that result instead of computing it again.
     Values are handed out read-only rather than copied.  The bytes held are
-    bounded by the objective's own data matrix: an entry counts its value
-    plus the factor it keeps alive (the data matrix itself excepted); an
-    entry larger than `data.nbytes` is not kept, and the least recently
-    used entries go once the total exceeds it.
+    bounded by the objective's own data matrix: an entry counts the bytes
+    of its value; an entry larger than `data.nbytes` is not kept, and the
+    least recently used entries go once the total exceeds it.
     """
 
     def __init__(self, data: np.ndarray):
-        self._data = data
         self.max_bytes = data.nbytes
         self.nbytes = 0
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
@@ -102,10 +98,8 @@ class CurvatureMemo:
         self._hits: defaultdict[str, int] = defaultdict(int)
         self._misses: defaultdict[str, int] = defaultdict(int)
 
-    def get(self, kind: str, key, compute, factor: np.ndarray | None = None):
-        """The array stored under (kind, key), else `compute()`, stored.
-        `factor` is an array the value was computed from; the entry keeps
-        it alive, which keeps a key of `id(factor)` sound."""
+    def get(self, kind: str, key, compute):
+        """The array stored under (kind, key), else `compute()`, stored."""
         slot = (kind, key)
         with self._lock:
             entry = self._entries.get(slot)
@@ -114,7 +108,7 @@ class CurvatureMemo:
                 self._entries.move_to_end(slot)
                 self._hits[kind] += 1
             else:
-                entry = self._entries[slot] = _Entry(factor)
+                entry = self._entries[slot] = _Entry()
                 self._misses[kind] += 1
         if hit:
             return entry.future.result()  # waits while another thread computes
@@ -128,8 +122,6 @@ class CurvatureMemo:
             raise
         value.flags.writeable = False
         nbytes = value.nbytes
-        if factor is not None and factor is not self._data:
-            nbytes += factor.nbytes
         with self._lock:
             # unless evicted while it was being computed
             if self._entries.get(slot) is entry:
@@ -189,24 +181,31 @@ class FiniteSumObjective:
         """Matrix B with B.T @ B equal to the full Hessian, or None."""
         return None
 
-    def leverage_scores(self, B: np.ndarray) -> np.ndarray:
-        """`sketch.leverage_scores(B)` of a factor from `hessian_factor`,
-        computed once per factor object while the memo holds it."""
-        return self._decomposition("leverage_scores", B)
+    def curvature_key(self, x: np.ndarray):
+        """A key that is equal at two points exactly when the Hessian and
+        its factor are equal there; the memo keeps every curvature array
+        under it."""
+        raise NotImplementedError
 
-    def triangular_factor(self, B: np.ndarray) -> np.ndarray:
-        """`sketch.triangular_factor(B)`, memoized like `leverage_scores`."""
-        return self._decomposition("triangular_factor", B)
+    def leverage_scores(self, x: np.ndarray) -> np.ndarray:
+        """`sketch.leverage_scores` of the Hessian factor at x, computed
+        once per curvature key while the memo holds it."""
+        return self._decomposition("leverage_scores", x)
 
-    def _decomposition(self, kind: str, B: np.ndarray) -> np.ndarray:
+    def triangular_factor(self, x: np.ndarray) -> np.ndarray:
+        """`sketch.triangular_factor` of the Hessian factor at x, memoized
+        like `leverage_scores`."""
+        return self._decomposition("triangular_factor", x)
+
+    def _decomposition(self, kind: str, x: np.ndarray) -> np.ndarray:
         # `kind` names the `sketch` function; it is looked up at call time,
         # so a wrapper installed on the module (a tracer, a test) sees it
         def compute():
-            return getattr(sketch, kind)(B)
+            return getattr(sketch, kind)(self.hessian_factor(x))
 
         if self.memo is None:
             return compute()
-        return self.memo.get(kind, id(B), compute, factor=B)
+        return self.memo.get(kind, self.curvature_key(x), compute)
 
     # -- per-sample loss derivatives ----------------------------------------
     def per_sample_hessian(self, i: int, x: np.ndarray) -> np.ndarray:
@@ -298,6 +297,9 @@ class LeastSquaresObjective(FiniteSumObjective):
     def hessian_factor(self, x):
         return self._A
 
+    def curvature_key(self, x):
+        return ()  # the Hessian is constant in x
+
     def per_sample_hessian(self, i, x):
         a = self._A[i]
         return self.n * np.outer(a, a)
@@ -339,9 +341,9 @@ class SvmHinge2Objective(FiniteSumObjective):
     Everything at one x rests on one n x d pass for the margins: each
     thread keeps the margins and support set of the last x it evaluated, so
     the gradient, sample pool, sampled root and Hessian at that x share it.
-    The Hessian and its factor depend on the support set alone, and are
-    memoized under it (its membership bits), so runs that revisit a set
-    reuse them.
+    The Hessian, its factor and the factor's decompositions depend on the
+    support set alone, and are memoized under it (its membership bits, the
+    curvature key), so runs that revisit a set reuse them.
     """
 
     def __init__(self, data: DatasetMatrix, C: float = 1.0):
@@ -378,10 +380,6 @@ class SvmHinge2Objective(FiniteSumObjective):
             point = _SvmPoint(key, margins, support, np.packbits(below).tobytes())
             self._last.point = point
         return point
-
-    def support_indices(self, x) -> np.ndarray:
-        """Indices of the support vectors at x (margin strictly below 1)."""
-        return self._at(x).support
 
     def min_kink_distance(self, x) -> float:
         """Smallest |1 - margin_i|; zero means x sits on a hinge kink."""
@@ -422,6 +420,9 @@ class SvmHinge2Objective(FiniteSumObjective):
 
         return self.memo.get("hessian_factor", point.support_key, compute)
 
+    def curvature_key(self, x):
+        return self._at(x).support_key
+
     def per_sample_hessian(self, i, x):
         if self._at(x).margins[i] < 1.0:
             a = self._A[i]
@@ -438,6 +439,7 @@ class SvmHinge2Objective(FiniteSumObjective):
         return self._check_x(x).copy()
 
     def hessian_sample_pool(self, x):
+        """Indices of the support vectors at x (margin strictly below 1)."""
         return self._at(x).support
 
     def hessian_term_root(self, indices, x):

@@ -328,24 +328,24 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
                 )
             else:
                 size = recommended_sketch_size(cfg.sketch_kind, obj.d, cfg.eps0)
-        # the objective's memo decomposes each factor once per experiment
+        # the objective's memo decomposes the factor once per curvature key
         if cfg.sketch_kind == LEVERAGE_SCORE:
-            S = make_leverage_sketch(B, size, seed_t, scores=obj.leverage_scores(B))
+            S = make_leverage_sketch(B, size, seed_t, scores=obj.leverage_scores(x))
         elif cfg.sketch_kind == GAUSSIAN:
             # B = Q R and S Q is again i.i.d. N(0, 1/s) (rotation invariance),
             # so S R has the law of S B and (S R)^T S R that of (S B)^T S B.
-            B = obj.triangular_factor(B)
+            B = obj.triangular_factor(x)
             S = make_oblivious_sketch(GAUSSIAN, size, B.shape[0], seed_t)
         else:
             S = make_oblivious_sketch(cfg.sketch_kind, size, B.shape[0], seed_t)
         return sketched_hessian(B, S)
-    pool = obj.hessian_sample_pool(x)
     size = cfg.sample_size
     if size is None:
-        size = max(1, int(math.ceil(cfg.sample_fraction * pool.size)))
+        pool_size = obj.hessian_sample_pool(x).size
+        size = max(1, int(math.ceil(cfg.sample_fraction * pool_size)))
     if method == NEWSAMP:
-        return newsamp_hessian(obj, x, size, cfg.rank, seed_t, pool=pool)
-    return subsampled_hessian(obj, x, size, seed_t, alpha=cfg.alpha, pool=pool)
+        return newsamp_hessian(obj, x, size, cfg.rank, seed_t)
+    return subsampled_hessian(obj, x, size, seed_t, alpha=cfg.alpha)
 
 
 def approximate_newton_run(

@@ -3,8 +3,9 @@
 A warm objective, one that has already evaluated other points, must return
 what a freshly built objective returns at the same x, bit for bit, whatever
 order the points and the methods are visited in.  The arrays it hands out
-are read-only, the bytes it holds never exceed its data matrix, and a
-factor is decomposed once for every run on the objective.
+are read-only, the bytes it holds never exceed its data matrix, and the
+Hessian factor is decomposed once per curvature key for every run on the
+objective.
 """
 
 import sys
@@ -43,26 +44,21 @@ def least_squares():
     return least_squares_objective(LS_A, LS_B)
 
 
-def _factor(obj, x):
-    return obj.hessian_factor(x)
-
-
 # every array-valued quantity the memo stands behind, as a function of x
 QUANTITIES = {
     "gradient": lambda obj, x: obj.gradient(x),
     "full_hessian": lambda obj, x: obj.full_hessian(x),
-    "hessian_factor": _factor,
+    "hessian_factor": lambda obj, x: obj.hessian_factor(x),
     "hessian_term_root": lambda obj, x: obj.hessian_term_root(TERM_ROWS, x),
-    "leverage_scores": lambda obj, x: obj.leverage_scores(_factor(obj, x)),
-    "triangular_factor": lambda obj, x: obj.triangular_factor(_factor(obj, x)),
+    "leverage_scores": lambda obj, x: obj.leverage_scores(x),
+    "triangular_factor": lambda obj, x: obj.triangular_factor(x),
 }
 SVM_QUANTITIES = dict(
     QUANTITIES,
-    support_indices=lambda obj, x: obj.support_indices(x),
     hessian_sample_pool=lambda obj, x: obj.hessian_sample_pool(x),
 )
 READ_ONLY = ("full_hessian", "hessian_factor", "leverage_scores",
-             "triangular_factor", "support_indices", "hessian_sample_pool")
+             "triangular_factor", "hessian_sample_pool")
 
 
 @st.composite
@@ -108,8 +104,8 @@ class TestWarmEqualsFresh:
         obj = svm()
         x = -obj.gradient(np.zeros(obj.d))  # a support set small enough to keep
         y = x * (1.0 + 1e-9)
-        assert 0 < obj.support_indices(x).size < obj.n / 2
-        assert np.array_equal(obj.support_indices(x), obj.support_indices(y))
+        assert 0 < obj.hessian_sample_pool(x).size < obj.n / 2
+        assert np.array_equal(obj.hessian_sample_pool(x), obj.hessian_sample_pool(y))
         assert obj.full_hessian(x) is obj.full_hessian(y)
         assert obj.hessian_factor(x) is obj.hessian_factor(y)
 
@@ -145,7 +141,7 @@ def test_bytes_held_never_exceed_data_matrix(keys):
     for key in keys:
         x = np.random.Generator(np.random.Philox(key=key)).standard_normal(12)
         obj.full_hessian(x)
-        obj.leverage_scores(obj.hessian_factor(x))
+        obj.leverage_scores(x)
         held = sum(nbytes for _, _, nbytes in obj.memo.stats().values())
         assert held == obj.memo.nbytes <= obj.memo.max_bytes == data.rows.nbytes
 
@@ -170,13 +166,14 @@ class TestCurvatureMemo:
         assert calls == ["a", "b", "c", "b"]
         assert memo.stats() == {"k": (2, 4, 64)}
 
-    def test_factor_counts_unless_it_is_the_data(self):
-        data = np.zeros(100)
-        memo = CurvatureMemo(data)
-        other = np.zeros(20)
-        memo.get("own", id(data), lambda: np.zeros(2), factor=data)
-        memo.get("other", id(other), lambda: np.zeros(2), factor=other)
-        assert memo.stats() == {"other": (0, 1, 16 + 160), "own": (0, 1, 16)}
+    def test_entry_counts_its_own_value_only(self):
+        # the factor the scores come from is counted once, in its own entry
+        obj = svm()
+        x = -obj.gradient(np.zeros(obj.d))  # a support set small enough to keep
+        scores = obj.leverage_scores(x)
+        stats = obj.memo.stats()
+        assert stats["leverage_scores"][2] == scores.nbytes
+        assert stats["hessian_factor"][2] == obj.hessian_factor(x).nbytes
 
     def test_entry_larger_than_bound_is_not_kept_and_evicts_nothing(self):
         memo = CurvatureMemo(np.zeros(2))
@@ -263,9 +260,29 @@ def test_runs_on_one_objective_decompose_the_factor_once(monkeypatch, kind, name
     assert len(seen) == 1 and seen[0] is obj.hessian_factor(None)
 
 
+def test_svm_factor_at_zero_decomposed_once_across_runs(monkeypatch):
+    # every row is a support vector at 0, so the factor there is larger than
+    # the data matrix and not kept; its decompositions are, under the key
+    calls = {"leverage_scores": 0, "triangular_factor": 0}
+    for name in calls:
+        original = getattr(sketch, name)
+
+        def counted(B, name=name, original=original):
+            calls[name] += 1
+            return original(B)
+
+        monkeypatch.setattr(sketch, name, counted)
+    obj = svm()
+    for kind in ("leverage_score", "gaussian"):
+        for seed in range(3):
+            cfg = SolverConfig(hessian_method="sketched", sketch_kind=kind,
+                               sketch_size=40, max_iters=1, grad_tol=1e-300, seed=seed)
+            assert approximate_newton_run(obj, cfg, np.zeros(obj.d)).n_steps == 1
+    assert calls == {"leverage_scores": 1, "triangular_factor": 1}
+
+
 def test_objective_without_memo_recomputes():
     obj = least_squares()
     obj.memo = None
-    B = obj.hessian_factor(None)
-    first, second = obj.leverage_scores(B), obj.leverage_scores(B)
+    first, second = obj.leverage_scores(None), obj.leverage_scores(None)
     assert first is not second and np.array_equal(first, second)

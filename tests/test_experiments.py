@@ -388,8 +388,12 @@ class TestRunExperiment:
 
 
 class TestPlotData:
-    def test_emit_requires_summary(self, tmp_path):
-        with pytest.raises(DomainError, match="summary.csv"):
+    def test_emit_names_the_missing_file(self, tmp_path):
+        with pytest.raises(DomainError, match="metadata.txt"):
+            emit_plot_data(str(tmp_path))
+        run_experiment(tiny_config(tmp_path, seeds=(0,)))
+        os.remove(tmp_path / "plotdata_custom.csv")
+        with pytest.raises(DomainError, match="plotdata_custom.csv"):
             emit_plot_data(str(tmp_path))
 
     def test_single_series_svg(self, tmp_path):
@@ -400,7 +404,7 @@ class TestPlotData:
         svg = read(tmp_path / "plot_replot.svg")
         assert svg.count("<polyline") == 1
         assert "log scale" in svg
-        assert any(p.endswith(".csv") for p in written)
+        assert written == [str(tmp_path / "plot_replot.svg")]
 
     def test_plotdata_long_format(self, tmp_path):
         run_experiment(tiny_config(tmp_path))
@@ -663,6 +667,7 @@ class TestCli:
               "grid": "[{sketch_kind: gaussian, 1: x, a: y}]"}, [],
              "unknown embedding cell keys: [1, 'a']"),
             ({1: "x", "a": "y"}, [], "unknown config keys: [1, 'a']"),
+            ({"problem": "{kind: synthetic, n: 40, d: 4"}, [], "is not valid YAML"),
         ],
     )
     def test_bad_setting_is_config_error(self, tmp_path, capsys, raw, args, message):
@@ -699,6 +704,8 @@ class TestCli:
                        "eps0_schedule: log-decay}",
              "unknown eps0_schedule 'log-decay'"),
             ("custom", "{label: a/b, method: exact}", "not a plain file name"),
+            ("custom", '{label: "a,b", method: exact}', "does not fit in a CSV field"),
+            ("custom", '{label: "a\\nb", method: exact}', "does not fit in a CSV field"),
             ("custom", "{method: exact, warm_start_steps: -1}",
              "warm_start_steps must be >= 0, got -1"),
             ("custom", "{method: exact, warm_start_steps: '3'}",
@@ -844,6 +851,20 @@ class TestCli:
         cfg = tiny_config(tmp_path, seeds=(0,))
         run_experiment(cfg)
         assert main(["plot", str(tmp_path)]) == 0
+
+    def test_plot_of_run_with_failed_cell(self, tmp_path, capsys):
+        # the failed run has a summary row but no trace
+        path = tmp_path / "exp.yaml"
+        path.write_text(
+            "experiment: custom\n"
+            "problem: {kind: synthetic, n: 40, d: 4, decay: 1.5}\n"
+            "grid: [{method: exact}, "
+            "{label: bad, method: newsamp, sample_size: 2, rank: 3}]\n"
+            f"seeds: [0]\noutput_dir: {tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(path)]) == 2
+        assert main(["plot", str(tmp_path / "out")]) == 0
+        assert read(tmp_path / "out" / "plot_replot.svg").count("<polyline") == 1
 
     def test_verify_embedding_subcommand(self, tmp_path, capsys):
         code = main(["verify-embedding", "--d", "6", "--m", "120", "--seeds",

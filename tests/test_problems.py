@@ -121,7 +121,7 @@ class TestSvmHinge2:
 
     def test_all_points_support_at_origin(self, svm_tiny):
         x = np.zeros(svm_tiny.d)
-        assert svm_tiny.support_indices(x).size == svm_tiny.n
+        assert svm_tiny.hessian_sample_pool(x).size == svm_tiny.n
         A = svm_tiny._A
         expected = np.eye(svm_tiny.d) + (svm_tiny.C / svm_tiny.n) * (A.T @ A)
         np.testing.assert_allclose(svm_tiny.full_hessian(x), expected)
@@ -131,7 +131,7 @@ class TestSvmHinge2:
         # support-set size at its x, also right after another x's pool
         gen = np.random.Generator(np.random.Philox(key=7))
         xs = [k * gen.standard_normal(svm_mid.d) for k in range(4)]
-        sizes = [svm_mid.support_indices(x).size for x in xs]
+        sizes = [svm_mid.hessian_sample_pool(x).size for x in xs]
         assert len(set(sizes)) > 1
         idx = np.arange(5)
 
@@ -280,12 +280,12 @@ class TestCurvatureBounds:
         computed = []
         get = CurvatureMemo.get
 
-        def counting_get(memo, kind, key, compute, factor=None):
+        def counting_get(memo, kind, key, compute):
             def counted():
                 computed.append((kind, key))
                 return compute()
 
-            return get(memo, kind, key, counted, factor)
+            return get(memo, kind, key, counted)
 
         monkeypatch.setattr(CurvatureMemo, "get", counting_get)
         problem = {"kind": "two_class", "n": 400, "d": 8, "seed": 20,

@@ -1,12 +1,14 @@
 """The sketch path's per-run decompositions of the Hessian factor.
 
-The driver computes the leverage scores and the triangular QR factor R of a
-Hessian factor B once per distinct factor object, and Gaussian sketches act
-on R instead of B.  These tests check that the cached scores reproduce the
-uncached sketch bit for bit, that R^T R = B^T B, that a factor which
-changes every step is decomposed every step, and that Gaussian surrogates
-built from R and from B follow the same law.
+The objective computes the leverage scores and the triangular QR factor R of
+its Hessian factor B once per curvature key, and Gaussian sketches act on R
+instead of B.  These tests check that the cached scores reproduce the
+uncached sketch bit for bit, that R^T R = B^T B, that an SVM factor is
+decomposed once per support set the runs visit, and that Gaussian
+surrogates built from R and from B follow the same law.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +23,12 @@ from approxnewton import (
     make_leverage_sketch,
     make_oblivious_sketch,
     sketched_hessian,
+    svm_hinge2_objective,
+    synthetic_two_class,
 )
 from approxnewton import sketch
 from approxnewton.errors import ShapeError
+from approxnewton.problems import CurvatureMemo
 from approxnewton.sketch import (
     GAUSSIAN,
     LEVERAGE_SCORE,
@@ -88,24 +93,6 @@ class TestTriangularFactor:
         self._check(B)
 
 
-class _FreshFactor:
-    """Least squares whose Hessian factor comes back as a new array at each
-    call, scaled by a different power of two each time (exact in floating
-    point), as an objective whose factor depends on x would hand it out."""
-
-    def __init__(self, obj):
-        self._obj = obj
-        self.handed_out = []
-
-    def __getattr__(self, name):
-        return getattr(self._obj, name)
-
-    def hessian_factor(self, x):
-        B = self._obj.hessian_factor(x) * 2.0 ** (len(self.handed_out) % 3)
-        self.handed_out.append(B)
-        return B
-
-
 @pytest.fixture
 def ls_problem():
     A = _gaussian(11, (200, 5))
@@ -143,14 +130,18 @@ class TestFactorMemo:
         assert len(seen) == 1
         assert seen[0] is ls_problem.hessian_factor(None)
 
-    def test_new_factor_decomposed_every_step(self, monkeypatch, ls_problem, kind):
+    def test_svm_decomposed_once_per_support_set(self, monkeypatch, kind):
         seen = _count_decompositions(monkeypatch, _DECOMPOSITION[kind])
-        fresh = _FreshFactor(ls_problem)
-        trace = approximate_newton_run(fresh, self._config(kind),
-                                       np.zeros(ls_problem.d))
-        assert trace.n_steps == 6
-        assert len(seen) == len(fresh.handed_out) == 6
-        assert all(a is b for a, b in zip(seen, fresh.handed_out))
+        obj = svm_hinge2_objective(synthetic_two_class(120, 5, seed=4), C=4.0)
+        obj.memo = CurvatureMemo(np.zeros(10**5))  # room for every support set
+        keys = []
+        for seed in range(3):
+            cfg = replace(self._config(kind), seed=seed, store_snapshots=True)
+            trace = approximate_newton_run(obj, cfg, np.zeros(obj.d))
+            keys += [obj.curvature_key(x) for x in trace.xs[: trace.n_steps]]
+        # the runs share the support set at 0 and part from there
+        assert 1 < len(set(keys)) < len(keys)
+        assert len(seen) == len(set(keys))
 
 
 def test_gaussian_law_same_on_triangular_factor():
