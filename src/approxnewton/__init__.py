@@ -17,7 +17,6 @@ from .errors import (
     RankDeficient,
     ReferenceNotConverged,
     ShapeError,
-    SnapshotsRequired,
     UnsupportedLabels,
 )
 from .hessian_approx import (

@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, help="replace the seed list")
     run_p.add_argument("--out", help="output directory")
     run_p.add_argument("--full-scale", action="store_true", dest="full_scale",
-                       help="full-size problem of a built-in --experiment")
+                       help="8000x5000 problem of regularized_sweep or newsamp_sweep")
     run_p.add_argument("--workers", type=int)
     run_p.set_defaults(func=_cmd_run)
 

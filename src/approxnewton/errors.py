@@ -43,7 +43,3 @@ class ReferenceNotConverged(ApproxNewtonError):
 
 class InsufficientData(ApproxNewtonError):
     """Trace too short for rate classification."""
-
-
-class SnapshotsRequired(ApproxNewtonError):
-    """Operation needs per-iteration x snapshots but the trace has none."""

@@ -16,6 +16,7 @@ Exit codes: 0 all runs completed, 1 configuration error, 2 some runs failed
 
 from __future__ import annotations
 
+import html
 import json
 import math
 import os
@@ -76,7 +77,7 @@ EMBEDDING_COLUMNS = ("kind", "seed", "achieved_eps", "holds")
 RUN_KEYS = frozenset({"label", "method", "warm_start_steps"})
 CELL_KEYS = RUN_KEYS | (
     {f.name for f in fields(solvers.SolverConfig)}
-    - {"hessian_method", "seed", "store_snapshots"}
+    - {"hessian_method", "seed"}
 )
 # cell methods that name a preset, with the `SolverConfig` settings each fixes
 PRESETS = {
@@ -468,7 +469,10 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
 def default_config(
     experiment: str, output_dir: str, full_scale: bool = False
 ) -> ExperimentConfig:
-    """Built-in experiment definitions reproducing the study's three setups."""
+    """Built-in experiment definitions reproducing the study's three setups;
+    only the two spiked sweeps have a `full_scale` (8000 x 5000) variant."""
+    if full_scale and experiment not in (REGULARIZED_SWEEP, NEWSAMP_SWEEP):
+        raise DomainError(f"{experiment!r} has no full-scale definition")
     if experiment == LIPSCHITZ_FREE:
         # separation/C chosen so the support set evolves under Newton instead
         # of the ridge term freezing it (see README calibration notes)
@@ -651,7 +655,7 @@ def render_svg(
         )
         parts.append(
             f'<text x="{width - pad + 4}" y="{pad + 14 * i}" font-size="10" '
-            f'fill="{color}">{label}</text>'
+            f'fill="{color}">{html.escape(label)}</text>'
         )
     parts.append("</svg>")
     with open(path, "w") as fh:

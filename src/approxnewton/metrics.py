@@ -24,18 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InsufficientData,
-    ReferenceNotConverged,
-    ShapeError,
-    SnapshotsRequired,
-)
+from .errors import InsufficientData, ReferenceNotConverged, ShapeError
 from .problems import FiniteSumObjective
 from .solvers import DIVERGED, IterationTrace, SolverConfig, approximate_newton_run
 
 RESIDUAL_FLOOR = 1e-13  # window ends before r_t first reaches this
 WINDOW_SKIP = 2  # transient iterations excluded up front
-WINDOW_FRACTION = 1.0  # share of the post-transient tail that is classified
 QUAD_SLOPE_RANGE = (1.8, 2.5)
 QUAD_MIN_R2 = 0.98
 LINEAR_MAX_LOG_DEV = 0.8
@@ -102,7 +96,7 @@ def mstar_norm(ref: MstarReference, v: np.ndarray) -> float:
 def fill_mstar_norms(trace: IterationTrace, ref: MstarReference) -> list[float]:
     """Compute r_t for every recorded iterate and store it on the trace."""
     if not trace.gradients:
-        raise SnapshotsRequired("trace carries no gradient records")
+        raise InsufficientData("trace carries no gradient records")
     vals = [float(np.linalg.norm(ref.mstar_half @ g)) for g in trace.gradients]
     trace.grad_mstar_norms = vals
     return vals
@@ -115,14 +109,9 @@ def _classification_window(r: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
         raise InsufficientData(
             f"need at least 5 iterations above 1e-14, have {np.count_nonzero(r[:end] > 1e-14)}"
         )
-    seq_start = WINDOW_SKIP
-    seq = r[seq_start:end]
-    if seq.size < 3:
+    if end - WINDOW_SKIP < 3:
         raise InsufficientData("window too short after transient removal")
-    keep = int(math.ceil(WINDOW_FRACTION * seq.size))
-    keep = max(keep, 3)
-    start = seq_start + (seq.size - keep)
-    return r[start:end], (start, end)
+    return r[WINDOW_SKIP:end], (WINDOW_SKIP, end)
 
 
 def _geomean(vals: np.ndarray) -> float:
@@ -198,6 +187,7 @@ class ContractionRow:
 def contraction_diagnostics(
     obj: FiniteSumObjective,
     trace: IterationTrace,
+    xs: list[np.ndarray],
     ref: MstarReference,
     eps0: float,
     eps1: float,
@@ -208,11 +198,13 @@ def contraction_diagnostics(
 
     with eta_t and nu_t measured from the Hessian distance (respectively
     inverse-Hessian distance) between iterate t and the optimum, rescaled by
-    the objective's curvature bounds.  Rows with nu_t >= 1 are flagged: the
-    conversion between the local and reference norms is vacuous there.
+    the objective's curvature bounds.  `xs[t]` is the iterate step t started
+    from, as an `on_step` sink of the run sees it (`Step.x`).  Rows with
+    nu_t >= 1 are flagged: the conversion between the local and reference
+    norms is vacuous there.
     """
-    if not trace.has_snapshots:
-        raise SnapshotsRequired("contraction diagnostics need per-iteration x")
+    if len(xs) != trace.n_steps:
+        raise ShapeError(f"{len(xs)} iterates for a trace of {trace.n_steps} steps")
     if trace.grad_mstar_norms is None:
         fill_mstar_norms(trace, ref)
     mu = obj.sigma
@@ -224,7 +216,7 @@ def contraction_diagnostics(
     rows = []
     r = trace.grad_mstar_norms
     for t in range(trace.n_steps):
-        hess_t = obj.full_hessian(trace.xs[t])
+        hess_t = obj.full_hessian(xs[t])
         eta = spectral_norm(hess_t - hess_star) * math.sqrt(kappa) / mu
         w_t, V_t = np.linalg.eigh(hess_t)
         inv_t = (V_t / w_t) @ V_t.T

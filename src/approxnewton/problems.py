@@ -177,9 +177,11 @@ class FiniteSumObjective:
     def full_hessian(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def hessian_factor(self, x: np.ndarray):
-        """Matrix B with B.T @ B equal to the full Hessian, or None."""
-        return None
+    def hessian_factor(self, x: np.ndarray) -> np.ndarray:
+        """Matrix B with B.T @ B equal to the full Hessian; DomainError for
+        an objective that has none, which then cannot be sketched."""
+        name = type(self).__name__
+        raise DomainError(f"{name} exposes no Hessian factor to sketch")
 
     def curvature_key(self, x: np.ndarray):
         """A key that is equal at two points exactly when the Hessian and

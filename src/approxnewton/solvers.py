@@ -5,8 +5,9 @@ H p = g for the configured Hessian surrogate H and (full or subsampled)
 gradient g.  The inner solve must reach the relative residual
 ||g - H p|| <= (eps1 / kappa) ||g||; the exact mode uses the surrogate's
 own solve with iterative refinement, the cg mode runs conjugate
-gradients until the target (capped at 10 d iterations, stalls are reported
-in the trace rather than raised).
+gradients until the target (capped at 10 d iterations, a stall is reported
+in the inner result rather than raised).  An optional `on_step` sink gets a
+`Step` record per step: the iterate, the surrogate and the inner solve.
 
 The reference methods are configurations of the same loop: the default
 `SolverConfig()` is full Newton (exact Hessian, exact inner solve),
@@ -23,6 +24,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,8 +122,7 @@ class SolverConfig:
     support-vectors protocol).  When `sketch_size` is None the sketch size
     is derived from the accuracy target eps0 of the active schedule.  A step
     uses a subsampled gradient exactly when `gradient_sample_size` is set.
-    `store_snapshots` keeps every iterate in `trace.xs`.  The defaults run
-    full Newton.
+    The defaults run full Newton.
     """
 
     hessian_method: str = EXACT
@@ -140,7 +141,6 @@ class SolverConfig:
     grad_tol: float = 1e-8
     divergence_guard: float = 1e8
     seed: int = 0
-    store_snapshots: bool = False
 
     def __post_init__(self):
         check_number_fields(self)
@@ -203,15 +203,13 @@ class IterationTrace:
     `grad_norms[t]` is the full-gradient norm at iterate t (t = 0..T, so one
     more entry than steps taken).  Step arrays are indexed by the step they
     describe.  `grad_mstar_norms` is filled post hoc by the metrics module.
+    Iterates and surrogates are not kept: an `on_step` sink sees them.
     """
 
     status: str = MAX_ITERS
     grad_norms: list[float] = field(default_factory=list)
     gradients: list[np.ndarray] = field(default_factory=list)
-    xs: list[np.ndarray] = field(default_factory=list)
     inner_residuals: list[float] = field(default_factory=list)
-    inner_stalled: list[bool] = field(default_factory=list)
-    hessian_infos: list[dict] = field(default_factory=list)
     wall_ms: list[float] = field(default_factory=list)
     grad_mstar_norms: list[float] | None = None
     x_final: np.ndarray | None = None
@@ -220,9 +218,14 @@ class IterationTrace:
     def n_steps(self) -> int:
         return len(self.inner_residuals)
 
-    @property
-    def has_snapshots(self) -> bool:
-        return len(self.xs) == len(self.grad_norms)
+
+class Step(NamedTuple):
+    """Step t of a run: its iterate `x`, surrogate `H` and inner solve."""
+
+    t: int
+    x: np.ndarray
+    H: ApproxHessian
+    inner: InnerSolveResult
 
 
 def condition_bound(obj: FiniteSumObjective) -> float:
@@ -315,9 +318,6 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
     if method == GRADIENT_DESCENT:
         return gradient_descent_hessian(obj)
     if method == SKETCHED:
-        B = obj.hessian_factor(x)
-        if B is None:
-            raise DomainError("objective exposes no Hessian factor to sketch")
         size = cfg.sketch_size
         if size is None:
             # A decaying schedule wants the achieved accuracy to track
@@ -328,14 +328,15 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
                 )
             else:
                 size = recommended_sketch_size(cfg.sketch_kind, obj.d, cfg.eps0)
-        # the objective's memo decomposes the factor once per curvature key
+        # the objective's memo decomposes the factor once per curvature key;
+        # B = Q R and S Q is again i.i.d. N(0, 1/s) (rotation invariance), so
+        # a Gaussian S R has the law of S B and (S R)^T S R that of (S B)^T S B
+        if cfg.sketch_kind == GAUSSIAN:
+            B = obj.triangular_factor(x)
+        else:
+            B = obj.hessian_factor(x)
         if cfg.sketch_kind == LEVERAGE_SCORE:
             S = make_leverage_sketch(B, size, seed_t, scores=obj.leverage_scores(x))
-        elif cfg.sketch_kind == GAUSSIAN:
-            # B = Q R and S Q is again i.i.d. N(0, 1/s) (rotation invariance),
-            # so S R has the law of S B and (S R)^T S R that of (S B)^T S B.
-            B = obj.triangular_factor(x)
-            S = make_oblivious_sketch(GAUSSIAN, size, B.shape[0], seed_t)
         else:
             S = make_oblivious_sketch(cfg.sketch_kind, size, B.shape[0], seed_t)
         return sketched_hessian(B, S)
@@ -349,13 +350,15 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
 
 
 def approximate_newton_run(
-    obj: FiniteSumObjective, cfg: SolverConfig, x0: np.ndarray
+    obj: FiniteSumObjective, cfg: SolverConfig, x0: np.ndarray, on_step=None
 ) -> IterationTrace:
     """Run the approximate-Newton loop from x0 until convergence, the
     iteration budget, or the divergence guard.
 
     The stopping test always uses the full gradient, also when stepping with
-    subsampled gradients.
+    subsampled gradients.  `on_step`, when given, is called with the `Step`
+    of every step after its inner solve and before the update (`x - inner.p`
+    is the next iterate); the loop never writes into an array it handed out.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not np.isfinite(x).all():
@@ -370,8 +373,6 @@ def approximate_newton_run(
             break
         trace.grad_norms.append(gnorm)
         trace.gradients.append(g_full)
-        if cfg.store_snapshots:
-            trace.xs.append(x.copy())
         if gnorm > cfg.divergence_guard:
             trace.status = DIVERGED
             break
@@ -392,14 +393,11 @@ def approximate_newton_run(
         else:
             g_step = g_full
         inner = solve_inner(H, g_step, cfg.eps1, kappa, cfg.inner)
-        x = x - inner.p
-
         trace.inner_residuals.append(inner.rel_residual)
-        trace.inner_stalled.append(inner.stalled)
-        trace.hessian_infos.append(
-            {k: v for k, v in H.meta.items() if np.isscalar(v)}
-        )
         trace.wall_ms.append((time.perf_counter() - tic) * 1e3)
+        if on_step is not None:  # outside the step's wall time
+            on_step(Step(t, x, H, inner))
+        x = x - inner.p
     trace.x_final = x
     return trace
 

@@ -113,7 +113,6 @@ def test_criterion_03_condition_number_independence(ill_conditioned_problem):
             cfg = SolverConfig(
                 hessian_method="sketched", sketch_kind=kind, sketch_size=ell,
                 inner="exact", max_iters=200, grad_tol=1e-8, seed=seed,
-                store_snapshots=False,
             )
             trace = approximate_newton_run(obj, cfg, np.zeros(obj.d))
             rep = classify_rate(trace, ref)
@@ -138,7 +137,7 @@ def test_criterion_04_lipschitz_free_rates(svm_problem):
     x0 = np.zeros(obj.d)
     cfg = SolverConfig(
         hessian_method="subsampled", sample_fraction=0.05, inner="exact",
-        max_iters=200, grad_tol=1e-10, seed=0, store_snapshots=False,
+        max_iters=200, grad_tol=1e-10, seed=0,
     )
     tr_sub = approximate_newton_run(obj, cfg, x0)
     rep_sub = classify_rate(tr_sub, ref)
@@ -214,11 +213,10 @@ def test_criterion_06_tail_floor_equals_matched_regularizer():
     for seed in range(3):
         cfg_n = SolverConfig(hessian_method="newsamp", sample_size=size, rank=r,
                              inner="exact", max_iters=400, grad_tol=1e-9,
-                             seed=seed, store_snapshots=False)
+                             seed=seed)
         cfg_r = SolverConfig(hessian_method="subsampled",
                              sample_size=size, alpha=float(floor), inner="exact",
-                             max_iters=400, grad_tol=1e-9, seed=seed,
-                             store_snapshots=False)
+                             max_iters=400, grad_tol=1e-9, seed=seed)
         rep_n = classify_rate(approximate_newton_run(obj, cfg_n, np.zeros(20)), ref)
         rep_r = classify_rate(approximate_newton_run(obj, cfg_r, np.zeros(20)), ref)
         assert rep_n.classification == rep_r.classification == LINEAR
@@ -240,17 +238,17 @@ def test_criterion_07_contraction_bound(svm_tiny):
         x0 = ref.x_star + 0.05 * gen.standard_normal(4)
         cfg = SolverConfig(hessian_method="subsampled", sample_size=size,
                            inner="cg", eps1=eps1, max_iters=40, grad_tol=1e-12,
-                           seed=seed, store_snapshots=True)
-        trace = approximate_newton_run(svm_tiny, cfg, x0)
-        rows = contraction_diagnostics(svm_tiny, trace, ref, eps0, eps1)
-        for t, row in enumerate(rows):
-            H = subsampled_hessian(svm_tiny, trace.xs[t], size,
-                                   trace.hessian_infos[t]["seed"])
+                           seed=seed)
+        steps = []
+        trace = approximate_newton_run(svm_tiny, cfg, x0, on_step=steps.append)
+        xs = [step.x for step in steps]
+        rows = contraction_diagnostics(svm_tiny, trace, xs, ref, eps0, eps1)
+        for step, row in zip(steps, rows):
             sandwich = check_spectral_sandwich(
-                H, svm_tiny.full_hessian(trace.xs[t]), eps0
+                step.H, svm_tiny.full_hessian(step.x), eps0
             )
             ok = sandwich.holds and (
-                trace.inner_residuals[t] <= eps1 / kappa + 1e-12
+                step.inner.rel_residual <= eps1 / kappa + 1e-12
             )
             if ok and not row.nu_flagged:
                 certified += 1
@@ -329,7 +327,7 @@ def test_criterion_11_superlinear_schedule():
     obj = svm_hinge2_objective(ds, C=50.0)
     ref = compute_mstar_reference(obj, np.zeros(20))
     warm = approximate_newton_run(
-        obj, SolverConfig(max_iters=2, grad_tol=1e-300, store_snapshots=False),
+        obj, SolverConfig(max_iters=2, grad_tol=1e-300),
         np.zeros(20),
     )
     good = 0
@@ -337,7 +335,7 @@ def test_criterion_11_superlinear_schedule():
         cfg = SolverConfig(
             hessian_method="sketched", sketch_kind="gaussian", sketch_size=None,
             eps0_schedule="log_decay", inner="exact", max_iters=120,
-            grad_tol=1e-12, seed=seed, store_snapshots=False,
+            grad_tol=1e-12, seed=seed,
         )
         trace = approximate_newton_run(obj, cfg, warm.x_final)
         good += classify_rate(trace, ref).classification == SUPERLINEAR

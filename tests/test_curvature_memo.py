@@ -25,7 +25,7 @@ from approxnewton import (
     svm_hinge2_objective,
     synthetic_two_class,
 )
-from approxnewton.problems import CurvatureMemo
+from approxnewton.problems import CurvatureMemo, SvmHinge2Objective
 from approxnewton.solvers import SolverConfig
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -279,6 +279,26 @@ def test_svm_factor_at_zero_decomposed_once_across_runs(monkeypatch):
                                sketch_size=40, max_iters=1, grad_tol=1e-300, seed=seed)
             assert approximate_newton_run(obj, cfg, np.zeros(obj.d)).n_steps == 1
     assert calls == {"leverage_scores": 1, "triangular_factor": 1}
+
+
+def test_gaussian_sketch_builds_the_factor_only_to_decompose_it(monkeypatch):
+    # the Gaussian path sketches the triangular factor, so the Hessian factor
+    # is built on its memo misses alone, not once per step
+    built, decomposed = [], []
+    factor, triangular = SvmHinge2Objective.hessian_factor, sketch.triangular_factor
+    monkeypatch.setattr(SvmHinge2Objective, "hessian_factor",
+                        lambda obj, x: built.append(1) or factor(obj, x))
+    monkeypatch.setattr(sketch, "triangular_factor",
+                        lambda B: decomposed.append(1) or triangular(B))
+    obj = svm()
+    obj.memo = CurvatureMemo(np.zeros(10**5))  # room for every support set
+    steps = 0
+    for seed in range(3):
+        cfg = SolverConfig(hessian_method="sketched", sketch_kind="gaussian",
+                           sketch_size=40, max_iters=4, grad_tol=1e-300, seed=seed)
+        steps += approximate_newton_run(obj, cfg, np.zeros(obj.d)).n_steps
+    assert steps == 12
+    assert len(built) == len(decomposed) < steps
 
 
 def test_objective_without_memo_recomputes():

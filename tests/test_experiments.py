@@ -1,6 +1,7 @@
 import json
 import os
 from dataclasses import fields
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from approxnewton.experiments import (
     EXPERIMENTS,
     NEWSAMP_SWEEP,
     PRESETS,
+    REGULARIZED_SWEEP,
     RUN_KEYS,
     SUMMARY_COLUMNS,
     ExperimentConfig,
@@ -27,6 +29,9 @@ from approxnewton.experiments import (
     run_experiment,
 )
 from approxnewton.hessian_approx import METHODS
+
+# the built-in experiments that have a full-scale definition
+SWEEPS = (REGULARIZED_SWEEP, NEWSAMP_SWEEP)
 
 
 def tiny_config(out_dir, seeds=(0, 1)):
@@ -312,7 +317,8 @@ class TestRunExperiment:
         "experiment", [e for e in EXPERIMENTS if e not in (EMBEDDING_CHECK, "custom")]
     )
     def test_builtin_grids_use_known_cell_keys(self, tmp_path, experiment):
-        for full_scale in (False, True):
+        # only the two spiked sweeps have a full-scale definition
+        for full_scale in (False, True)[: 1 + (experiment in SWEEPS)]:
             cfg = default_config(experiment, str(tmp_path), full_scale=full_scale)
             for cell in cfg.grid:
                 assert set(cell) <= CELL_KEYS, cell
@@ -405,6 +411,15 @@ class TestPlotData:
         assert svg.count("<polyline") == 1
         assert "log scale" in svg
         assert written == [str(tmp_path / "plot_replot.svg")]
+
+    def test_svg_escapes_series_labels(self, tmp_path):
+        cfg = tiny_config(tmp_path, seeds=(0,))
+        cfg.grid = [{"label": "a<b&c", "method": "exact"}]
+        run_experiment(cfg)
+        emit_plot_data(str(tmp_path))
+        root = ElementTree.parse(tmp_path / "plot_replot.svg").getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a<b&c_s0" in texts
 
     def test_plotdata_long_format(self, tmp_path):
         run_experiment(tiny_config(tmp_path))
@@ -633,7 +648,7 @@ class TestCli:
             ({"full_scale": "true"}, [], "full_scale"),
             ({"grid": "[{label: a, gradient_mode: subsampled, "
                       "gradient_sample_size: 20}]"}, [], "gradient_mode"),
-            ({"grid": "[{label: a, store_snapshots: true}]"}, [], "store_snapshots"),
+            ({"grid": "[{label: a, seed: 3}]"}, [], "unknown cell keys: ['seed']"),
             ({"grid": "[{label: a/b, method: exact}]"}, [], "not a plain file name"),
             ({"grid": f"[{{label: {'x' * 250}, method: exact}}]"}, [], "too long"),
             ({"workers": "'2'"}, [], "workers must be an integer, got '2'"),
@@ -845,6 +860,18 @@ class TestCli:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err == "config error: seed must be in [0, 2**64), got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment", [e for e in EXPERIMENTS if e not in SWEEPS + ("custom",)]
+    )
+    def test_full_scale_without_definition_is_config_error(self, tmp_path, capsys,
+                                                          experiment):
+        out = tmp_path / "out"
+        args = ["run", "--experiment", experiment, "--full-scale", "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {experiment!r} has no full-scale definition\n"
         assert not out.exists()
 
     def test_plot_subcommand(self, tmp_path, capsys):

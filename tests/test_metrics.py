@@ -6,8 +6,8 @@ import pytest
 from approxnewton import (
     InsufficientData,
     ShapeError,
-    SnapshotsRequired,
     approximate_newton_run,
+    check_spectral_sandwich,
     classify_rate,
     compute_mstar_reference,
     contraction_diagnostics,
@@ -180,22 +180,24 @@ class TestClassifyRate:
 class TestContractionDiagnostics:
     def test_least_squares_one_step(self, ls_tiny):
         ref = compute_mstar_reference(ls_tiny, np.zeros(4))
-        cfg = SolverConfig(hessian_method="exact", max_iters=5, grad_tol=1e-12,
-                           store_snapshots=True)
-        trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
-        rows = contraction_diagnostics(ls_tiny, trace, ref, eps0=0.0, eps1=0.0)
+        cfg = SolverConfig(hessian_method="exact", max_iters=5, grad_tol=1e-12)
+        steps = []
+        trace = approximate_newton_run(ls_tiny, cfg, np.ones(4), on_step=steps.append)
+        xs = [step.x for step in steps]
+        rows = contraction_diagnostics(ls_tiny, trace, xs, ref, eps0=0.0, eps1=0.0)
         assert rows[0].ratio <= 1e-6
         # constant Hessian: measured curvature drift is exactly zero
         assert rows[0].eta_measured == 0.0
         assert rows[0].nu_measured <= 1e-8
 
-    def test_snapshots_required(self, ls_tiny):
+    def test_one_iterate_per_step_required(self, ls_tiny):
         ref = compute_mstar_reference(ls_tiny, np.zeros(4))
-        cfg = SolverConfig(hessian_method="exact", max_iters=5, grad_tol=1e-12,
-                           store_snapshots=False)
+        cfg = SolverConfig(hessian_method="exact", max_iters=5, grad_tol=1e-12)
         trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
-        with pytest.raises(SnapshotsRequired):
-            contraction_diagnostics(ls_tiny, trace, ref, 0.1, 0.1)
+        # the final iterate takes no step
+        with pytest.raises(ShapeError):
+            contraction_diagnostics(ls_tiny, trace, [np.ones(4), trace.x_final],
+                                    ref, 0.1, 0.1)
 
     def test_bound_holds_on_certified_subsampled_run(self, svm_tiny):
         ref = compute_mstar_reference(svm_tiny, np.zeros(4))
@@ -203,22 +205,19 @@ class TestContractionDiagnostics:
         x0 = ref.x_star + 0.05 * gen.standard_normal(4)
         cfg = SolverConfig(hessian_method="subsampled", sample_size=40,
                            inner="cg", eps1=0.1, max_iters=30, grad_tol=1e-12,
-                           seed=7, store_snapshots=True)
-        trace = approximate_newton_run(svm_tiny, cfg, x0)
-        rows = contraction_diagnostics(svm_tiny, trace, ref, eps0=0.5, eps1=0.1)
-        from approxnewton import check_spectral_sandwich, subsampled_hessian
-
+                           seed=7)
+        steps = []
+        trace = approximate_newton_run(svm_tiny, cfg, x0, on_step=steps.append)
+        xs = [step.x for step in steps]
+        rows = contraction_diagnostics(svm_tiny, trace, xs, ref, eps0=0.5, eps1=0.1)
         kappa = max(1.0, svm_tiny.L / svm_tiny.sigma)
         checked = 0
-        for t, row in enumerate(rows):
-            H = subsampled_hessian(
-                svm_tiny, trace.xs[t], 40, trace.hessian_infos[t]["seed"]
-            )
+        for step, row in zip(steps, rows):
             sandwich = check_spectral_sandwich(
-                H, svm_tiny.full_hessian(trace.xs[t]), 0.5
+                step.H, svm_tiny.full_hessian(step.x), 0.5
             )
             certified = sandwich.holds and (
-                trace.inner_residuals[t] <= 0.1 / kappa + 1e-12
+                step.inner.rel_residual <= 0.1 / kappa + 1e-12
             )
             if certified and not row.nu_flagged:
                 assert row.within_bound
@@ -236,10 +235,12 @@ class TestDistanceBound:
     def test_bound_dominates_distance_along_trace(self, ls_tiny):
         ref = compute_mstar_reference(ls_tiny, np.zeros(4))
         cfg = SolverConfig(hessian_method="subsampled", sample_size=12,
-                           max_iters=40, grad_tol=1e-10, seed=2,
-                           store_snapshots=True)
-        trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
+                           max_iters=40, grad_tol=1e-10, seed=2)
+        steps = []
+        trace = approximate_newton_run(ls_tiny, cfg, np.ones(4), on_step=steps.append)
         fill_mstar_norms(trace, ref)
-        for x, r in zip(trace.xs, trace.grad_mstar_norms):
+        xs = [step.x for step in steps] + [trace.x_final]
+        assert len(xs) == len(trace.grad_mstar_norms)
+        for x, r in zip(xs, trace.grad_mstar_norms):
             bound = distance_bound_from_gradient(r, ls_tiny.L, ls_tiny.sigma)
             assert np.linalg.norm(x - ref.x_star) <= bound + 1e-12

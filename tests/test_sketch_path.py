@@ -119,8 +119,7 @@ _DECOMPOSITION = {LEVERAGE_SCORE: "leverage_scores", GAUSSIAN: "triangular_facto
 class TestFactorMemo:
     def _config(self, kind):
         return SolverConfig(hessian_method="sketched", sketch_kind=kind,
-                            sketch_size=60, max_iters=6, grad_tol=1e-300,
-                            store_snapshots=False)
+                            sketch_size=60, max_iters=6, grad_tol=1e-300)
 
     def test_constant_factor_decomposed_once(self, monkeypatch, ls_problem, kind):
         seen = _count_decompositions(monkeypatch, _DECOMPOSITION[kind])
@@ -136,9 +135,10 @@ class TestFactorMemo:
         obj.memo = CurvatureMemo(np.zeros(10**5))  # room for every support set
         keys = []
         for seed in range(3):
-            cfg = replace(self._config(kind), seed=seed, store_snapshots=True)
-            trace = approximate_newton_run(obj, cfg, np.zeros(obj.d))
-            keys += [obj.curvature_key(x) for x in trace.xs[: trace.n_steps]]
+            cfg = replace(self._config(kind), seed=seed)
+            steps = []
+            approximate_newton_run(obj, cfg, np.zeros(obj.d), on_step=steps.append)
+            keys += [obj.curvature_key(step.x) for step in steps]
         # the runs share the support set at 0 and part from there
         assert 1 < len(set(keys)) < len(keys)
         assert len(seen) == len(set(keys))

@@ -11,6 +11,7 @@ from approxnewton import (
     NotPositiveDefinite,
     approximate_newton_run,
     least_squares_objective,
+    rng,
     solve_inner,
     subsampled_hessian,
     superlinear_schedule,
@@ -100,22 +101,45 @@ class TestNewtonDriver:
         # next iterate is the current one minus the inner solution, bit for bit
         runs = [
             (ls_tiny, SolverConfig(hessian_method="subsampled", sample_size=10,
-                                   max_iters=5, grad_tol=1e-14,
-                                   store_snapshots=True), np.ones(4)),
+                                   max_iters=5, grad_tol=1e-14), np.ones(4)),
             (svm_tiny, SolverConfig(hessian_method="subsampled",
                                     sample_fraction=0.5, max_iters=5,
-                                    grad_tol=1e-14, store_snapshots=True),
+                                    grad_tol=1e-14),
              np.ones(4)),
         ]
         for obj, cfg, x0 in runs:
-            trace = approximate_newton_run(obj, cfg, x0)
+            steps = []
+            trace = approximate_newton_run(obj, cfg, x0, on_step=steps.append)
             assert trace.n_steps >= 2
-            for t in range(trace.n_steps):
-                x, info = trace.xs[t], trace.hessian_infos[t]
-                H = subsampled_hessian(obj, x, info["size"], info["seed"])
+            xs = [step.x for step in steps] + [trace.x_final]
+            for t, x in enumerate(xs[:-1]):
+                size = cfg.sample_size or max(1, math.ceil(
+                    cfg.sample_fraction * obj.hessian_sample_pool(x).size
+                ))
+                H = subsampled_hessian(obj, x, size, rng.child_seed(cfg.seed, 1, t))
                 p = solve_inner(H, obj.gradient(x), cfg.eps1, condition_bound(obj),
                                 cfg.inner).p
-                np.testing.assert_array_equal(trace.xs[t + 1], x - p)
+                np.testing.assert_array_equal(xs[t + 1], x - p)
+
+    def test_step_sink_leaves_the_run_unchanged(self, svm_tiny):
+        # the sink sees every step as it is taken and changes nothing
+        cfg = SolverConfig(hessian_method="subsampled", sample_fraction=0.5,
+                           inner="cg", eps1=0.1, max_iters=6, grad_tol=1e-14,
+                           seed=3)
+        steps = []
+        plain = approximate_newton_run(svm_tiny, cfg, np.ones(4))
+        sunk = approximate_newton_run(svm_tiny, cfg, np.ones(4),
+                                      on_step=steps.append)
+        assert sunk.status == plain.status
+        assert sunk.grad_norms == plain.grad_norms
+        assert sunk.inner_residuals == plain.inner_residuals
+        np.testing.assert_array_equal(sunk.x_final, plain.x_final)
+        assert len(steps) == sunk.n_steps >= 2
+        assert [step.t for step in steps] == list(range(sunk.n_steps))
+        assert [step.inner.rel_residual for step in steps] == sunk.inner_residuals
+        xs = [step.x for step in steps] + [sunk.x_final]
+        for t, step in enumerate(steps):
+            np.testing.assert_array_equal(xs[t + 1], step.x - step.inner.p)
 
     def test_bit_exact_determinism(self, ls_tiny):
         cfg = SolverConfig(hessian_method="subsampled", sample_size=6,
@@ -131,8 +155,7 @@ class TestNewtonDriver:
         A = gen.standard_normal((100, 40))
         obj = least_squares_objective(A, gen.standard_normal(100))
         cfg = SolverConfig(hessian_method="subsampled", sample_size=2,
-                           alpha=1e-10, max_iters=50, grad_tol=1e-10, seed=0,
-                           store_snapshots=False)
+                           alpha=1e-10, max_iters=50, grad_tol=1e-10, seed=0)
         trace = approximate_newton_run(obj, cfg, np.zeros(40))
         assert trace.status == DIVERGED
         assert all(np.isfinite(trace.grad_norms))
@@ -140,28 +163,26 @@ class TestNewtonDriver:
     def test_inner_residual_meets_target_when_not_stalled(self, ls_tiny):
         cfg = SolverConfig(hessian_method="exact", inner="cg", eps1=0.2,
                            max_iters=30, grad_tol=1e-9, seed=1)
-        trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
+        steps = []
+        approximate_newton_run(ls_tiny, cfg, np.ones(4), on_step=steps.append)
         kappa = condition_bound(ls_tiny)
-        for res, stalled in zip(trace.inner_residuals, trace.inner_stalled):
-            if not stalled:
-                assert res <= 0.2 / kappa + 1e-12
+        for step in steps:
+            if not step.inner.stalled:
+                assert step.inner.rel_residual <= 0.2 / kappa + 1e-12
 
     def test_subsampled_gradient_mode_progresses_to_noise_floor(self, ls_tiny):
         # stepping with sampled gradients leaves a variance floor, so assert
         # substantial decrease rather than convergence to a tight tolerance
         cfg = SolverConfig(hessian_method="exact",
                            gradient_sample_size=200, max_iters=60,
-                           grad_tol=1e-12, seed=4, store_snapshots=False)
+                           grad_tol=1e-12, seed=4)
         trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
         assert min(trace.grad_norms) <= 5e-2 * trace.grad_norms[0]
 
-    def test_snapshots_off_keeps_gradients(self, ls_tiny):
-        cfg = SolverConfig(hessian_method="exact", max_iters=5, grad_tol=1e-9,
-                           store_snapshots=False)
+    def test_trace_keeps_one_gradient_per_iterate(self, ls_tiny):
+        cfg = SolverConfig(hessian_method="exact", max_iters=5, grad_tol=1e-9)
         trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
-        assert not trace.has_snapshots
         assert len(trace.gradients) == len(trace.grad_norms)
-
 
     def test_gradient_sample_size_alone_samples_the_gradient(self, ls_tiny):
         # full Newton solves a least-squares problem in one step; a sampled
@@ -216,10 +237,6 @@ class TestSolverConfig:
         cfg = SolverConfig(hessian_method=method, **chosen)
         assert {name: getattr(cfg, name) for name in chosen} == chosen
 
-    def test_snapshots_opt_in(self, ls_tiny):
-        trace = approximate_newton_run(ls_tiny, SolverConfig(max_iters=3), np.ones(4))
-        assert trace.xs == []
-
 
 class TestBaselines:
     def test_full_newton_single_step(self, ls_small):
@@ -229,17 +246,19 @@ class TestBaselines:
         assert trace.n_steps == 1
 
     def test_newton_cg_matches_full_newton(self, ls_tiny):
+        st_cg, st_nt = [], []
         tr_cg = approximate_newton_run(
-            ls_tiny, SolverConfig(inner="cg", eps1=0.0, max_iters=10, grad_tol=1e-9,
-                                  store_snapshots=True),
-            np.ones(4),
+            ls_tiny, SolverConfig(inner="cg", eps1=0.0, max_iters=10, grad_tol=1e-9),
+            np.ones(4), on_step=st_cg.append,
         )
         tr_nt = approximate_newton_run(
-            ls_tiny, SolverConfig(max_iters=10, grad_tol=1e-9, store_snapshots=True),
-            np.ones(4),
+            ls_tiny, SolverConfig(max_iters=10, grad_tol=1e-9),
+            np.ones(4), on_step=st_nt.append,
         )
         assert tr_cg.n_steps == tr_nt.n_steps
-        for a, b in zip(tr_cg.xs, tr_nt.xs):
+        xs_cg = [step.x for step in st_cg] + [tr_cg.x_final]
+        xs_nt = [step.x for step in st_nt] + [tr_nt.x_final]
+        for a, b in zip(xs_cg, xs_nt):
             assert np.linalg.norm(a - b) <= 1e-8 * max(1.0, np.linalg.norm(b))
 
     def test_gradient_descent_contraction_on_diagonal_quadratic(self):
@@ -247,11 +266,12 @@ class TestBaselines:
         target = np.array([1.0, 1.0])
         obj = least_squares_objective(A, A @ target)
         cfg = SolverConfig(hessian_method="gradient_descent", max_iters=40,
-                           grad_tol=1e-12, store_snapshots=True)
-        trace = approximate_newton_run(obj, cfg, np.zeros(2))
+                           grad_tol=1e-12)
+        steps = []
+        trace = approximate_newton_run(obj, cfg, np.zeros(2), on_step=steps.append)
         # step 1/L = 1/10: the error in the unit-curvature coordinate
         # contracts by exactly 0.9 per iteration
-        errs = [abs(x[0] - 1.0) for x in trace.xs]
+        errs = [abs(x[0] - 1.0) for x in [s.x for s in steps] + [trace.x_final]]
         for e0, e1 in zip(errs[:-1], errs[1:]):
             assert e1 == pytest.approx(0.9 * e0, rel=1e-10)
 
@@ -307,12 +327,14 @@ class TestQuadraticRegime:
         M = gen.standard_normal((6, 6))
         Q = M @ M.T + 2.0 * np.eye(6)
         obj = QuadraticQuartic(Q, gen.standard_normal(6), c=0.5)
-        trace = approximate_newton_run(obj, SolverConfig(max_iters=30, grad_tol=1e-13,
-                                                         store_snapshots=True),
-                                       0.5 * gen.standard_normal(6))
+        steps = []
+        trace = approximate_newton_run(obj, SolverConfig(max_iters=30, grad_tol=1e-13),
+                                       0.5 * gen.standard_normal(6),
+                                       on_step=steps.append)
         assert trace.status == CONVERGED
         # Hessian-layer Lipschitz constant on the visited region
-        radius = max(np.abs(np.asarray(trace.xs)).max(), 1.0)
+        xs = [step.x for step in steps] + [trace.x_final]
+        radius = max(np.abs(np.asarray(xs)).max(), 1.0)
         l_hat = 6 * obj.c * radius
         mu = obj.sigma
         bound = 1.5 * l_hat / (2 * mu**2)
