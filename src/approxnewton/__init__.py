@@ -28,7 +28,6 @@ from .hessian_approx import (
     gradient_descent_hessian,
     newsamp_hessian,
     sketched_hessian,
-    subsampled_gradient,
     subsampled_hessian,
     uniform_sample_size,
 )

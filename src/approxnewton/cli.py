@@ -45,10 +45,11 @@ def _cmd_run(args) -> int:
             cfg = experiments.default_config(
                 args.experiment, args.out or _default_out(), bool(args.full_scale)
             )
-            if args.seed is not None:
-                cfg.seeds = [args.seed]
-            if args.workers is not None:  # replace() checks the new value
-                cfg = dataclasses.replace(cfg, workers=args.workers)
+            # --seed and --workers, checked by replace() as a config file's are
+            given = {k: overrides[k] for k in ("seeds", "workers")}
+            cfg = dataclasses.replace(
+                cfg, **{k: v for k, v in given.items() if v is not None}
+            )
         else:
             print("run: need a config file or --experiment", file=sys.stderr)
             return 1

@@ -87,6 +87,7 @@ PRESETS = {
 }
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 NAME_MAX = 255  # bytes in a file name on common file systems
+SVG_SIZE = (640, 420)  # width and height of a rendered chart, in px
 
 
 @dataclass
@@ -608,13 +609,9 @@ def emit_plot_data(run_dir: str) -> list[str]:
     return [out_svg]
 
 
-def render_svg(
-    series: dict[str, list[tuple[int, float]]],
-    path: str,
-    width: int = 640,
-    height: int = 420,
-) -> None:
+def render_svg(series: dict[str, list[tuple[int, float]]], path: str) -> None:
     """Tiny static line chart: iteration on x, residual on a log10 y-axis."""
+    width, height = SVG_SIZE
     pad = 50
     pts_all = [p for pts in series.values() for p in pts if p[1] > 0]
     if not pts_all:

@@ -248,19 +248,6 @@ def gradient_descent_hessian(obj: FiniteSumObjective) -> ApproxHessian:
     return FlooredSpectrum(np.zeros((obj.d, 0)), np.zeros(0), L, meta)
 
 
-def subsampled_gradient(
-    obj: FiniteSumObjective, x: np.ndarray, size: int, seed: int
-) -> np.ndarray:
-    """Mean of `size` uniformly sampled per-sample loss gradients plus the
-    regularizer gradient."""
-    if size < 1:
-        raise ShapeError(f"sample size must be >= 1, got {size}")
-    x = np.asarray(x, dtype=float)
-    gen = rng.generator(seed)
-    idx = gen.integers(0, obj.n, size=size)
-    return obj.loss_gradient_mean(idx, x) + obj.regularizer_gradient(x)
-
-
 def uniform_sample_size(
     K: float, sigma_or_beta: float, d: int, delta: float, eps0: float
 ) -> int:

@@ -41,6 +41,7 @@ SUPERLINEAR = "superlinear"
 QUADRATIC = "quadratic"
 INCONCLUSIVE = "inconclusive"
 DIVERGED_CLASS = "diverged"
+REFERENCE_MAX_ITERS = 200  # exact Newton steps allowed to locate x*
 
 
 @dataclass
@@ -60,9 +61,7 @@ class RateReport:
     window: tuple[int, int]
 
 
-def compute_mstar_reference(
-    obj: FiniteSumObjective, x0: np.ndarray, max_iters: int = 200
-) -> MstarReference:
+def compute_mstar_reference(obj: FiniteSumObjective, x0: np.ndarray) -> MstarReference:
     """Locate x* by exact Newton and take the inverse square root of the
     Hessian there.
 
@@ -71,7 +70,7 @@ def compute_mstar_reference(
     x0 = np.asarray(x0, dtype=float)
     g0 = float(np.linalg.norm(obj.gradient(x0)))
     tol = 1e-13 * max(1.0, g0)
-    cfg = SolverConfig(max_iters=max_iters, grad_tol=tol)
+    cfg = SolverConfig(max_iters=REFERENCE_MAX_ITERS, grad_tol=tol)
     trace = approximate_newton_run(obj, cfg, x0)
     if trace.status != "converged":
         raise ReferenceNotConverged(
@@ -97,7 +96,7 @@ def fill_mstar_norms(trace: IterationTrace, ref: MstarReference) -> list[float]:
     """Compute r_t for every recorded iterate and store it on the trace."""
     if not trace.gradients:
         raise InsufficientData("trace carries no gradient records")
-    vals = [float(np.linalg.norm(ref.mstar_half @ g)) for g in trace.gradients]
+    vals = [mstar_norm(ref, g) for g in trace.gradients]
     trace.grad_mstar_norms = vals
     return vals
 

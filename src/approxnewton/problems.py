@@ -151,11 +151,11 @@ class CurvatureMemo:
 class FiniteSumObjective:
     """Base interface for F(x) = (1/n) * sum_i f_i(x) (+ optional regularizer).
 
-    Concrete objectives provide the full derivatives, per-sample derivatives
+    Concrete objectives provide the full derivatives, per-sample Hessians
     of the loss part, and the sampling hooks used by the subsampled Hessian
-    and gradient builders.  `K` bounds max_i ||hess f_i(x)||, `sigma` lower
-    bounds the smallest eigenvalue of the full Hessian, and `L` upper bounds
-    its largest eigenvalue.  `memo` holds what the objective's callers
+    builders.  `K` bounds max_i ||hess f_i(x)||, `sigma` lower bounds the
+    smallest eigenvalue of the full Hessian, and `L` upper bounds its
+    largest eigenvalue.  `memo` holds what the objective's callers
     share; an objective without one recomputes on every call.
     """
 
@@ -209,18 +209,12 @@ class FiniteSumObjective:
             return compute()
         return self.memo.get(kind, self.curvature_key(x), compute)
 
-    # -- per-sample loss derivatives ----------------------------------------
+    # -- per-sample loss Hessians -------------------------------------------
     def per_sample_hessian(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def per_sample_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # -- split-out regularizer ----------------------------------------------
     regularizer_scale: float = 0.0  # the regularizer Hessian is this times I
-
-    def regularizer_gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros(self.d)
 
     # -- sampling hooks ------------------------------------------------------
     def hessian_sample_pool(self, x: np.ndarray) -> np.ndarray:
@@ -231,10 +225,6 @@ class FiniteSumObjective:
         """Rows R such that R.T @ R / len(indices) is the unbiased sampled
         estimate of the loss part of the Hessian, for indices drawn uniformly
         from `hessian_sample_pool`."""
-        raise NotImplementedError
-
-    def loss_gradient_mean(self, indices: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Mean of per-sample loss gradients over `indices` (vectorized)."""
         raise NotImplementedError
 
     def _check_x(self, x: np.ndarray) -> np.ndarray:
@@ -306,19 +296,8 @@ class LeastSquaresObjective(FiniteSumObjective):
         a = self._A[i]
         return self.n * np.outer(a, a)
 
-    def per_sample_gradient(self, i, x):
-        x = self._check_x(x)
-        a = self._A[i]
-        return self.n * a * (a @ x - self._b[i])
-
     def hessian_term_root(self, indices, x):
         return np.sqrt(self.n) * self._A[indices]
-
-    def loss_gradient_mean(self, indices, x):
-        x = self._check_x(x)
-        sub = self._A[indices]
-        resid = sub @ x - self._b[indices]
-        return self.n * (sub.T @ resid) / len(indices)
 
 
 class _SvmPoint(NamedTuple):
@@ -431,14 +410,7 @@ class SvmHinge2Objective(FiniteSumObjective):
             return self.C * np.outer(a, a)
         return np.zeros((self.d, self.d))
 
-    def per_sample_gradient(self, i, x):
-        slack = max(0.0, 1.0 - self._at(x).margins[i])
-        return -self.C * slack * self._b[i] * self._A[i]
-
     regularizer_scale = 1.0  # the ridge term 0.5 * ||x||^2
-
-    def regularizer_gradient(self, x):
-        return self._check_x(x).copy()
 
     def hessian_sample_pool(self, x):
         """Indices of the support vectors at x (margin strictly below 1)."""
@@ -447,12 +419,6 @@ class SvmHinge2Objective(FiniteSumObjective):
     def hessian_term_root(self, indices, x):
         n_sv = self._at(x).support.shape[0]
         return np.sqrt(self.C * n_sv / self.n) * self._A[indices]
-
-    def loss_gradient_mean(self, indices, x):
-        x = self._check_x(x)
-        sub = self._A[indices]
-        slack = np.maximum(0.0, 1.0 - self._b[indices] * (sub @ x))
-        return -(self.C / len(indices)) * (sub.T @ (self._b[indices] * slack))
 
 
 def least_squares_objective(A: np.ndarray, b: np.ndarray) -> LeastSquaresObjective:

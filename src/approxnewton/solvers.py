@@ -1,13 +1,13 @@
 """Approximate-Newton driver with pluggable Hessian builders and inner solves.
 
 The driver iterates x <- x - p with unit step, where p approximately solves
-H p = g for the configured Hessian surrogate H and (full or subsampled)
-gradient g.  The inner solve must reach the relative residual
-||g - H p|| <= (eps1 / kappa) ||g||; the exact mode uses the surrogate's
-own solve with iterative refinement, the cg mode runs conjugate
-gradients until the target (capped at 10 d iterations, a stall is reported
-in the inner result rather than raised).  An optional `on_step` sink gets a
-`Step` record per step: the iterate, the surrogate and the inner solve.
+H p = g for the configured Hessian surrogate H and the full gradient g.
+The inner solve must reach the relative residual ||g - H p|| <=
+(eps1 / kappa) ||g||; the exact mode uses the surrogate's own solve with
+iterative refinement, the cg mode runs conjugate gradients until the target
+(capped at 10 d iterations, a stall is reported in the inner result rather
+than raised).  An optional `on_step` sink gets a `Step` record per step:
+the iterate, the surrogate and the inner solve.
 
 The reference methods are configurations of the same loop: the default
 `SolverConfig()` is full Newton (exact Hessian, exact inner solve),
@@ -42,7 +42,6 @@ from .hessian_approx import (
     gradient_descent_hessian,
     newsamp_hessian,
     sketched_hessian,
-    subsampled_gradient,
     subsampled_hessian,
 )
 from .problems import FiniteSumObjective
@@ -59,6 +58,8 @@ from .sketch import (
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 DIVERGED = "diverged"
+# a full-gradient norm above this ends a run as diverged
+DIVERGENCE_GUARD = 1e8
 
 INNER_EXACT = "exact"
 INNER_CG = "cg"
@@ -120,9 +121,8 @@ class SolverConfig:
     CG) with an exact inner solve.  `sample_fraction` resizes the draw to a
     fraction of the current sampling pool (used for the sample-a-share-of-
     support-vectors protocol).  When `sketch_size` is None the sketch size
-    is derived from the accuracy target eps0 of the active schedule.  A step
-    uses a subsampled gradient exactly when `gradient_sample_size` is set.
-    The defaults run full Newton.
+    is derived from the accuracy target eps0 of the active schedule.  The
+    defaults run full Newton.
     """
 
     hessian_method: str = EXACT
@@ -134,12 +134,10 @@ class SolverConfig:
     rank: int | None = None
     eps0: float = 0.5
     eps0_schedule: str = SCHEDULE_CONSTANT
-    gradient_sample_size: int | None = None
     inner: str = INNER_EXACT
     eps1: float = 0.0
     max_iters: int = 100
     grad_tol: float = 1e-8
-    divergence_guard: float = 1e8
     seed: int = 0
 
     def __post_init__(self):
@@ -153,7 +151,7 @@ class SolverConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise DomainError(f"unknown {name} {value!r}, not one of {allowed}")
-        for name in ("sketch_size", "sample_size", "gradient_sample_size"):
+        for name in ("sketch_size", "sample_size"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise DomainError(f"{name} must be >= 1, got {value}")
@@ -256,6 +254,8 @@ def solve_inner(
     is hit the best iterate is returned with `stalled` set instead of
     raising.  A plain matrix is taken as a dense surrogate.
     """
+    if mode not in (INNER_EXACT, INNER_CG):
+        raise DomainError(f"unknown inner mode {mode!r}")
     if kappa < 1.0:
         raise DomainError(f"kappa must be >= 1, got {kappa}")
     if not isinstance(H, ApproxHessian):
@@ -277,9 +277,6 @@ def solve_inner(
             p = p + H.solve(resid)
         rel = float(np.linalg.norm(g - H.matvec(p))) / gnorm
         return InnerSolveResult(p, rel, 1, False)
-
-    if mode != INNER_CG:
-        raise DomainError(f"unknown inner mode {mode!r}")
 
     target = max(eps1 / kappa, _CG_FLOOR) * gnorm
     cap = 10 * H.d
@@ -353,12 +350,13 @@ def approximate_newton_run(
     obj: FiniteSumObjective, cfg: SolverConfig, x0: np.ndarray, on_step=None
 ) -> IterationTrace:
     """Run the approximate-Newton loop from x0 until convergence, the
-    iteration budget, or the divergence guard.
+    iteration budget, or a non-finite gradient norm or one above
+    `DIVERGENCE_GUARD`.
 
-    The stopping test always uses the full gradient, also when stepping with
-    subsampled gradients.  `on_step`, when given, is called with the `Step`
-    of every step after its inner solve and before the update (`x - inner.p`
-    is the next iterate); the loop never writes into an array it handed out.
+    Each step solves against the full gradient its stop test reads.
+    `on_step`, when given, is called with the `Step` of every step after its
+    inner solve and before the update (`x - inner.p` is the next iterate);
+    the loop never writes into an array it handed out.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not np.isfinite(x).all():
@@ -366,14 +364,14 @@ def approximate_newton_run(
     kappa = condition_bound(obj)
     trace = IterationTrace()
     while True:
-        g_full = obj.gradient(x)
-        gnorm = float(np.linalg.norm(g_full))
+        g = obj.gradient(x)
+        gnorm = float(np.linalg.norm(g))
         if not math.isfinite(gnorm):
             trace.status = DIVERGED
             break
         trace.grad_norms.append(gnorm)
-        trace.gradients.append(g_full)
-        if gnorm > cfg.divergence_guard:
+        trace.gradients.append(g)
+        if gnorm > DIVERGENCE_GUARD:
             trace.status = DIVERGED
             break
         if gnorm <= cfg.grad_tol:
@@ -386,13 +384,7 @@ def approximate_newton_run(
         t = trace.n_steps
         tic = time.perf_counter()
         H = _build_hessian(obj, x, cfg, t)
-        if cfg.gradient_sample_size is not None:
-            g_step = subsampled_gradient(
-                obj, x, cfg.gradient_sample_size, rng.child_seed(cfg.seed, 2, t)
-            )
-        else:
-            g_step = g_full
-        inner = solve_inner(H, g_step, cfg.eps1, kappa, cfg.inner)
+        inner = solve_inner(H, g, cfg.eps1, kappa, cfg.inner)
         trace.inner_residuals.append(inner.rel_residual)
         trace.wall_ms.append((time.perf_counter() - tic) * 1e3)
         if on_step is not None:  # outside the step's wall time

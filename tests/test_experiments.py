@@ -70,12 +70,10 @@ CELL_VALUES = {
     "eps0": st.floats(0.01, 0.9),
     "eps0_schedule": st.sampled_from([solvers.SCHEDULE_CONSTANT,
                                       solvers.SCHEDULE_LOG_DECAY]),
-    "gradient_sample_size": st.integers(1, 500),
     "inner": st.sampled_from([solvers.INNER_EXACT, solvers.INNER_CG]),
     "eps1": st.floats(0.0, 0.99),
     "max_iters": st.integers(1, 1000),
     "grad_tol": st.floats(1e-14, 1e-2),
-    "divergence_guard": st.floats(1.0, 1e12),
 }
 
 
@@ -104,7 +102,7 @@ def cells(draw):
 
 def test_cell_values_cover_cell_keys():
     assert set(CELL_VALUES) == CELL_KEYS
-    assert len(CELL_KEYS) == 17
+    assert len(CELL_KEYS) == 15
 
 
 @settings(max_examples=200, deadline=None)
@@ -649,6 +647,8 @@ class TestCli:
             ({"grid": "[{label: a, gradient_mode: subsampled, "
                       "gradient_sample_size: 20}]"}, [], "gradient_mode"),
             ({"grid": "[{label: a, seed: 3}]"}, [], "unknown cell keys: ['seed']"),
+            ({"grid": "[{label: a, divergence_guard: 100.0}]"}, [],
+             "unknown cell keys: ['divergence_guard']"),
             ({"grid": "[{label: a/b, method: exact}]"}, [], "not a plain file name"),
             ({"grid": f"[{{label: {'x' * 250}, method: exact}}]"}, [], "too long"),
             ({"workers": "'2'"}, [], "workers must be an integer, got '2'"),

@@ -10,7 +10,6 @@ from approxnewton import (
     epsilon0_regularized,
     newsamp_hessian,
     sketched_hessian,
-    subsampled_gradient,
     subsampled_hessian,
     synthetic_spectrum_matrix,
     uniform_sample_size,
@@ -224,41 +223,6 @@ class TestNewsampHessian:
                 newsamp_hessian(ls_tiny, np.zeros(4), size=size, r=r, seed=0)
         H = newsamp_hessian(ls_tiny, np.zeros(4), size=3, r=2, seed=0)
         assert H.meta["eigenvalue_floor"] > 0.0
-
-
-class TestSubsampledGradient:
-    def test_full_coverage_matches_gradient(self, ls_tiny):
-        # drawing every index via a huge sample converges to the gradient;
-        # the exact check uses the loss-mean identity instead
-        x = 0.3 * np.ones(4)
-        g = ls_tiny.loss_gradient_mean(np.arange(ls_tiny.n), x)
-        np.testing.assert_allclose(g, ls_tiny.gradient(x), atol=1e-12)
-
-    def test_single_sample_formula(self, ls_tiny):
-        gen = np.random.Generator(np.random.Philox(key=10))
-        x = gen.standard_normal(4)
-        g = subsampled_gradient(ls_tiny, x, size=1, seed=11)
-        diffs = [
-            np.linalg.norm(g - ls_tiny.per_sample_gradient(i, x))
-            for i in range(ls_tiny.n)
-        ]
-        assert min(diffs) < 1e-12
-
-    def test_monte_carlo_mean(self, ls_tiny):
-        # frozen oracle value: 1000 seeds x 50 samples lands within 2%
-        # (expected standard error 1.2% at this x)
-        gen = np.random.Generator(np.random.Philox(key=77))
-        x = gen.standard_normal(4)
-        acc = np.zeros(4)
-        for seed in range(1000):
-            acc += subsampled_gradient(ls_tiny, x, size=50, seed=seed)
-        g = ls_tiny.gradient(x)
-        assert np.linalg.norm(acc / 1000 - g) <= 0.02 * np.linalg.norm(g)
-
-    def test_svm_includes_ridge_term(self, svm_tiny):
-        x = 0.2 * np.ones(4)
-        g = subsampled_gradient(svm_tiny, x, size=svm_tiny.n * 50, seed=0)
-        assert np.linalg.norm(g - svm_tiny.gradient(x)) < 0.5
 
 
 class TestUniformSampleSize:

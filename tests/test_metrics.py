@@ -5,6 +5,8 @@ import pytest
 
 from approxnewton import (
     InsufficientData,
+    LeastSquaresObjective,
+    ReferenceNotConverged,
     ShapeError,
     approximate_newton_run,
     check_spectral_sandwich,
@@ -65,6 +67,19 @@ class TestReference:
         resid = ref.mstar_half @ hess_star @ ref.mstar_half - np.eye(4)
         assert np.linalg.norm(resid) <= 1e-8
 
+    def test_slow_newton_raises_with_status_and_tolerance(self, ls_tiny):
+        class OverCurved(LeastSquaresObjective):
+            # exact Newton on 1e3 times the Hessian contracts by 0.999 a step
+            def full_hessian(self, x):
+                return 1e3 * super().full_hessian(x)
+
+        obj = OverCurved(ls_tiny._A, ls_tiny._b)
+        tol = 1e-13 * max(1.0, float(np.linalg.norm(obj.gradient(np.zeros(4)))))
+        with pytest.raises(ReferenceNotConverged) as info:
+            compute_mstar_reference(obj, np.zeros(4))
+        assert "status 'max_iters'" in str(info.value)
+        assert f"(tol {tol:.3e})" in str(info.value)
+
     def test_half_squares_to_inverse(self, ls_tiny):
         ref = compute_mstar_reference(ls_tiny, np.zeros(4))
         np.testing.assert_allclose(
@@ -83,6 +98,14 @@ class TestMstarNorm:
     def test_zero_vector(self):
         ref = make_reference(np.eye(3))
         assert mstar_norm(ref, np.zeros(3)) == 0.0
+
+    def test_fill_is_mstar_norm_per_gradient_and_checks_shape(self):
+        ref = make_reference(np.diag([1.0, 4.0, 9.0]))
+        trace = trace_from_residuals([1.0, 0.5, 0.25], ref)
+        vals = fill_mstar_norms(trace, ref)
+        assert vals == [mstar_norm(ref, g) for g in trace.gradients]
+        with pytest.raises(ShapeError, match="reference 2"):
+            fill_mstar_norms(trace, make_reference(np.eye(2)))
 
     def test_matches_quadratic_form(self):
         gen = np.random.Generator(np.random.Philox(key=18))
