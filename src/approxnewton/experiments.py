@@ -613,7 +613,7 @@ def render_svg(series: dict[str, list[tuple[int, float]]], path: str) -> None:
     """Tiny static line chart: iteration on x, residual on a log10 y-axis."""
     width, height = SVG_SIZE
     pad = 50
-    pts_all = [p for pts in series.values() for p in pts if p[1] > 0]
+    pts_all = [p for pts in series.values() for p in pts if 0 < p[1] < math.inf]
     if not pts_all:
         raise DomainError("no positive residuals to plot")
     tmax = max(p[0] for p in pts_all) or 1
@@ -641,7 +641,7 @@ def render_svg(series: dict[str, list[tuple[int, float]]], path: str) -> None:
         f'transform="rotate(-90 12 {height // 2})">residual (log scale)</text>',
     ]
     for i, (label, pts) in enumerate(sorted(series.items())):
-        pos = [(t, v) for t, v in pts if v > 0]
+        pos = [(t, v) for t, v in pts if 0 < v < math.inf]
         if not pos:
             continue
         coords = " ".join(f"{sx(t):.2f},{sy(v):.2f}" for t, v in pos)

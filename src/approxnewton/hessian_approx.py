@@ -38,9 +38,16 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
 
 
 def _cholesky(M: np.ndarray):
+    # numpy and scipy each ship an OpenBLAS with its own thread pool, and the
+    # gradient runs on numpy's: factoring with scipy would wake a second pool
+    # at every step, whose idle workers then spin against numpy's for the
+    # cores.  numpy's factor is scipy's bit for bit, in the `(c, lower)` form
+    # `cho_solve` reads; a solve with one right-hand side runs on one thread.
+    if not np.isfinite(M).all():
+        raise NotPositiveDefinite("H has non-finite entries")
     try:
-        return scipy.linalg.cho_factor(M)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        return np.linalg.cholesky(M, upper=True), False
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("H is not positive definite") from exc
 
 

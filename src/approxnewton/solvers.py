@@ -89,11 +89,13 @@ _NUMBER_FIELDS = {
 
 
 def check_number(name: str, value, kind: str) -> None:
-    """Raise DomainError unless `value` is a number of `kind` ("int" or
-    "float"); `bool` is not an integer here, numpy scalars are."""
+    """Raise DomainError unless `value` is a finite number of `kind` ("int"
+    or "float"); `bool` is not an integer here, numpy scalars are."""
     cls, what = _NUMBER_FIELDS[kind]
     if isinstance(value, bool) or not isinstance(value, cls):
         raise DomainError(f"{name} must be {what}, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def check_number_fields(config) -> None:
@@ -366,12 +368,9 @@ def approximate_newton_run(
     while True:
         g = obj.gradient(x)
         gnorm = float(np.linalg.norm(g))
-        if not math.isfinite(gnorm):
-            trace.status = DIVERGED
-            break
         trace.grad_norms.append(gnorm)
         trace.gradients.append(g)
-        if gnorm > DIVERGENCE_GUARD:
+        if not gnorm <= DIVERGENCE_GUARD:  # also ends on a NaN norm
             trace.status = DIVERGED
             break
         if gnorm <= cfg.grad_tol:

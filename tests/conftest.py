@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from approxnewton import (
+    LeastSquaresObjective,
     least_squares_objective,
     svm_hinge2_objective,
     synthetic_two_class,
@@ -54,3 +55,14 @@ def fd_gradient(f, x, h=1e-5):
 def fd_hessian_vector(grad, x, v, h=1e-6):
     """Central-difference directional derivative of a gradient map."""
     return (grad(x + h * v) - grad(x - h * v)) / (2 * h)
+
+
+class NanAfterFirstGradient(LeastSquaresObjective):
+    """Least squares whose gradient is NaN from its second call on."""
+
+    calls = 0
+
+    def gradient(self, x):
+        self.calls += 1
+        g = super().gradient(x)
+        return g if self.calls == 1 else np.full_like(g, np.nan)

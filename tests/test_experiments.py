@@ -9,7 +9,15 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from approxnewton import DomainError, LeastSquaresObjective, sketch, solvers
+from approxnewton import (
+    DomainError,
+    LeastSquaresObjective,
+    experiments,
+    metrics,
+    sketch,
+    solvers,
+    synthetic_spectrum_matrix,
+)
 from approxnewton.cli import main
 from approxnewton.experiments import (
     CELL_KEYS,
@@ -26,9 +34,11 @@ from approxnewton.experiments import (
     default_config,
     emit_plot_data,
     load_config,
+    render_svg,
     run_experiment,
 )
 from approxnewton.hessian_approx import METHODS
+from conftest import NanAfterFirstGradient
 
 # the built-in experiments that have a full-scale definition
 SWEEPS = (REGULARIZED_SWEEP, NEWSAMP_SWEEP)
@@ -277,6 +287,23 @@ class TestRunExperiment:
         errors = [line for line in metadata if line.startswith("error ")]
         assert errors == ["error lev_s0: LinAlgError: SVD did not converge"]
 
+    def test_non_finite_run_ends_its_trace_with_a_diverged_row(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = tiny_config(tmp_path, seeds=(0,))
+        cfg.grid = [{"label": "newton", "method": "exact"}]
+        ds = synthetic_spectrum_matrix(60, 4, 1.2, seed=2)
+        ref = metrics.compute_mstar_reference(build_objective(cfg.problem), np.zeros(4))
+        obj = NanAfterFirstGradient(ds.rows, ds.labels)
+        monkeypatch.setattr(experiments, "build_objective", lambda problem: obj)
+        monkeypatch.setattr(metrics, "compute_mstar_reference", lambda o, x0: ref)
+        assert run_experiment(cfg) == 0
+        trace = read(tmp_path / "trace_newton_s0.csv").splitlines()
+        assert len(trace) == 3
+        assert trace[-1] == "1,,,,diverged"
+        (row,) = read(tmp_path / "summary.csv").splitlines()[1:]
+        assert row.startswith("newton_s0,0,diverged,1,,diverged,")
+
     def test_metadata_echoes_resolved_config(self, tmp_path):
         cfg = tiny_config(tmp_path)
         cfg.grid[0]["warm_start_steps"] = 2
@@ -418,6 +445,15 @@ class TestPlotData:
         root = ElementTree.parse(tmp_path / "plot_replot.svg").getroot()
         texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
         assert "a<b&c_s0" in texts
+
+    def test_svg_skips_an_infinite_residual(self, tmp_path):
+        # a run that diverges on an infinite gradient ends its curve with inf
+        path = tmp_path / "plot.svg"
+        render_svg({"a": [(0, 1.0), (1, 0.1), (2, float("inf"))]}, str(path))
+        (line,) = ElementTree.parse(path).getroot().iter(
+            "{http://www.w3.org/2000/svg}polyline")
+        assert len(line.get("points").split()) == 2
+        assert "nan" not in read(path) and "inf" not in read(path)
 
     def test_plotdata_long_format(self, tmp_path):
         run_experiment(tiny_config(tmp_path))
@@ -642,6 +678,14 @@ class TestCli:
             ({"grid": "[{method: exact}, {method: exact, inner: cg, eps1: 0.5}]"},
              [], "share a label"),
             ({"seeds": "[0, 0]"}, [], "repeated seeds"),
+            # non-finite numbers, which would otherwise reach the runs
+            ({"grid": "[{label: a, method: regularized_subsampled, sample_size: 5, "
+                      "alpha: .inf}]"}, [], "alpha must be finite, got inf"),
+            ({"grid": "[{label: a, method: exact, grad_tol: .nan}]"}, [],
+             "grad_tol must be finite, got nan"),
+            ({"grad_tol": ".nan"}, [], "grad_tol must be finite, got nan"),
+            ({"problem": "{kind: synthetic, n: 40, d: 4, decay: -.inf, seed: 3}"}, [],
+             "decay must be finite, got -inf"),
             ({}, ["--full-scale"], "--full-scale"),
             ({"full_scale": "true"}, [], "full_scale"),
             ({"grid": "[{label: a, gradient_mode: subsampled, "

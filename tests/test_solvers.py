@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from approxnewton.solvers import (
     SolverConfig,
     condition_bound,
 )
+from conftest import NanAfterFirstGradient
 
 # a valid value other than the default for every surrogate setting
 SETTING_VALUES = {
@@ -174,6 +176,16 @@ class TestNewtonDriver:
         assert trace.n_steps == 0
         assert trace.grad_norms == [2 * DIVERGENCE_GUARD]
 
+    def test_non_finite_gradient_is_the_last_norm(self):
+        gen = np.random.Generator(np.random.Philox(key=4))
+        obj = NanAfterFirstGradient(gen.standard_normal((20, 3)),
+                                    gen.standard_normal(20))
+        trace = approximate_newton_run(obj, SolverConfig(), np.zeros(3))
+        assert trace.status == DIVERGED
+        assert trace.n_steps == 1
+        assert len(trace.grad_norms) == len(trace.gradients) == 2
+        assert math.isfinite(trace.grad_norms[0]) and math.isnan(trace.grad_norms[1])
+
     def test_inner_residual_meets_target_when_not_stalled(self, ls_tiny):
         cfg = SolverConfig(hessian_method="exact", inner="cg", eps1=0.2,
                            max_iters=30, grad_tol=1e-9, seed=1)
@@ -199,6 +211,19 @@ class TestSolverConfig:
     def test_wrong_number_type_rejected(self, name, value):
         with pytest.raises(DomainError, match=f"{name} must be"):
             SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "name",
+        [f.name for f in fields(SolverConfig) if f.type.startswith("float")],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            SolverConfig(**{name: value})
+
+    def test_huge_integer_is_a_range_error_not_an_overflow(self):
+        with pytest.raises(DomainError, match="must be in"):
+            SolverConfig(eps0=10**400)
 
     def test_numpy_scalars_accepted(self):
         cfg = SolverConfig(hessian_method="subsampled", inner="cg",
