@@ -94,8 +94,13 @@ def check_number(name: str, value, kind: str) -> None:
     cls, what = _NUMBER_FIELDS[kind]
     if isinstance(value, bool) or not isinstance(value, cls):
         raise DomainError(f"{name} must be {what}, got {value!r}")
-    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
+    if kind == "float":
+        try:
+            finite = math.isfinite(float(value))
+        except OverflowError:  # an integer past the float range
+            finite = False
+        if not finite:
+            raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def check_number_fields(config) -> None:

@@ -683,6 +683,8 @@ class TestCli:
                       "alpha: .inf}]"}, [], "alpha must be finite, got inf"),
             ({"grid": "[{label: a, method: exact, grad_tol: .nan}]"}, [],
              "grad_tol must be finite, got nan"),
+            ({"grid": "[{label: a, method: regularized_subsampled, sample_size: 5, "
+                      f"alpha: {10**400}}}]"}, [], "alpha must be finite, got 1000"),
             ({"grad_tol": ".nan"}, [], "grad_tol must be finite, got nan"),
             ({"problem": "{kind: synthetic, n: 40, d: 4, decay: -.inf, seed: 3}"}, [],
              "decay must be finite, got -inf"),

@@ -1,6 +1,5 @@
 """The surrogate factorization: numpy's Cholesky behind every dense and
-Woodbury solve, checked against `np.linalg.solve` on the dense view, and
-its failures raised as `NotPositiveDefinite`.
+Woodbury solve.
 
 The Newton loop must not call scipy's `cho_factor` or `cholesky`, which
 would run on scipy's own OpenBLAS thread pool beside numpy's; the
@@ -10,18 +9,13 @@ would run on scipy's own OpenBLAS thread pool beside numpy's; the
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from approxnewton import (
-    NotPositiveDefinite,
     SolverConfig,
     approximate_newton_run,
     compute_mstar_reference,
 )
 from approxnewton.hessian_approx import DenseHessian, RootPlusShift
-
-PROPERTY = settings(max_examples=80, deadline=None, derandomize=True)
 
 
 @pytest.fixture
@@ -66,68 +60,3 @@ class TestLoopWithoutScipyFactor:
         obj = request.getfixturevalue(fixture)
         ref = compute_mstar_reference(obj, np.zeros(obj.d))
         assert np.linalg.norm(obj.gradient(ref.x_star)) < 1e-10
-
-
-@st.composite
-def roots(draw):
-    """(R, k, c, g): a root of 1 to 2d rows, its divisor, a shift and a vector."""
-    d = draw(st.integers(1, 12))
-    rows = draw(st.integers(1, 2 * d))
-    gen = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**16))))
-    R = gen.standard_normal((rows, d)) * draw(st.sampled_from([1e-2, 1.0, 30.0]))
-    k = draw(st.integers(1, 3 * rows))
-    c = draw(st.floats(1e-2, 10.0))
-    return R, k, c, gen.standard_normal(d)
-
-
-def assert_solves(H, g):
-    expected = np.linalg.solve(H.matrix, g)
-    np.testing.assert_allclose(
-        H.solve(g), expected, rtol=0, atol=1e-9 * np.linalg.norm(expected)
-    )
-
-
-@PROPERTY
-@given(roots())
-def test_woodbury_solve_matches_dense_solve(root):
-    R, k, c, g = root
-    assert_solves(RootPlusShift(R, k, c), g)
-
-
-@PROPERTY
-@given(roots())
-def test_dense_solve_matches_dense_solve(root):
-    R, k, c, g = root
-    M = R.T @ R / k + c * np.eye(R.shape[1])
-    assert_solves(DenseHessian(0.5 * (M + M.T)), g)
-
-
-class TestFactorFailures:
-    @pytest.mark.parametrize(
-        "M",
-        [
-            np.diag([1.0, -1.0, 2.0]),
-            np.zeros((3, 3)),
-            np.diag([1.0, np.nan, 2.0]),
-            np.diag([np.inf, 1.0, 2.0]),
-            np.array([[2.0, np.nan], [np.nan, 2.0]]),
-            np.array([[2.0, -np.inf], [-np.inf, 2.0]]),
-        ],
-    )
-    def test_dense_raises_not_positive_definite(self, M):
-        with pytest.raises(NotPositiveDefinite):
-            DenseHessian(M).solve(np.ones(M.shape[0]))
-
-    @pytest.mark.parametrize(
-        "R, c",
-        [
-            (np.array([[1.0, np.nan, 0.0]]), 1.0),
-            (np.array([[1.0, 0.0, np.inf]]), 1.0),
-            (np.ones((2, 3)), np.inf),
-            (np.ones((2, 3)), np.nan),
-            (np.ones((2, 3)), -1.0),
-        ],
-    )
-    def test_woodbury_raises_not_positive_definite(self, R, c):
-        with pytest.raises(NotPositiveDefinite):
-            RootPlusShift(R, 2, c).solve(np.ones(3))

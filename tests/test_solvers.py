@@ -17,7 +17,7 @@ from approxnewton import (
     subsampled_hessian,
     superlinear_schedule,
 )
-from approxnewton.hessian_approx import METHODS
+from approxnewton.hessian_approx import METHODS, RootPlusShift
 from approxnewton.sketch import ALL_KINDS
 from approxnewton.solvers import (
     CONVERGED,
@@ -85,6 +85,20 @@ class TestSolveInner:
             solve_inner(-np.eye(3), np.ones(3), eps1=0.1, kappa=2.0)
         with pytest.raises(NotPositiveDefinite):
             solve_inner(np.diag([1.0, -1.0]), np.ones(2), 0.1, 2.0, mode="cg")
+
+    @pytest.mark.parametrize(
+        "H",
+        [
+            np.diag([1.0, np.nan, 2.0]),
+            np.diag([2.0, 2.0, -np.inf]),
+            RootPlusShift(np.array([[1.0, np.nan, 0.0]]), 2, 1.0),
+            RootPlusShift(np.ones((2, 3)), 2, np.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, H):
+        # numpy's Cholesky does not check its input, so the factor does
+        with pytest.raises(NotPositiveDefinite):
+            solve_inner(H, np.ones(3), eps1=0.1, kappa=2.0)
 
     def test_kappa_validated(self):
         with pytest.raises(DomainError):
@@ -216,14 +230,15 @@ class TestSolverConfig:
         "name",
         [f.name for f in fields(SolverConfig) if f.type.startswith("float")],
     )
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    # an integer past the float range would overflow where the run reads it
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, np.float64("nan"),
+         pytest.param(10**400, id="10**400")],
+    )
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             SolverConfig(**{name: value})
-
-    def test_huge_integer_is_a_range_error_not_an_overflow(self):
-        with pytest.raises(DomainError, match="must be in"):
-            SolverConfig(eps0=10**400)
 
     def test_numpy_scalars_accepted(self):
         cfg = SolverConfig(hessian_method="subsampled", inner="cg",

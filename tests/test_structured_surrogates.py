@@ -43,7 +43,7 @@ def problems(draw):
     seed = draw(st.integers(0, 2**16))
     gen = np.random.Generator(np.random.Philox(key=seed))
     if draw(st.booleans()):
-        A = gen.standard_normal((n, d))
+        A = gen.standard_normal((n, d)) * draw(st.sampled_from([1e-2, 1.0, 30.0]))
         obj = least_squares_objective(A, gen.standard_normal(n))
         x = gen.standard_normal(d)
     else:
