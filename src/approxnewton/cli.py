@@ -126,7 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", help="output directory")
     run_p.add_argument("--full-scale", action="store_true", dest="full_scale",
                        help="8000x5000 problem of regularized_sweep or newsamp_sweep")
-    run_p.add_argument("--workers", type=int)
+    run_p.add_argument("--workers", type=int,
+                       help="grid cells run at once (default: the cores BLAS leaves free)")
     run_p.set_defaults(func=_cmd_run)
 
     plot_p = sub.add_parser("plot", help="render a run directory's plot data")

@@ -92,6 +92,9 @@ SVG_SIZE = (640, 420)  # width and height of a rendered chart, in px
 
 @dataclass
 class ExperimentConfig:
+    """One experiment; `workers` is how many grid cells run at once (default:
+    the cores BLAS leaves free, see `default_workers`)."""
+
     experiment: str
     problem: dict
     grid: list[dict]
@@ -389,9 +392,29 @@ def _grid_tables(cfg: ExperimentConfig, outcomes: list[RunOutcome]) -> dict:
     return tables
 
 
+def default_workers(n_jobs: int) -> int:
+    """How many grid cells run at once when `workers` is unset: the cores
+    that OpenBLAS leaves free.  Every cell's BLAS calls run on OpenBLAS's
+    pool, which is as wide as the first of `BLAS_THREAD_VARS` set to a
+    positive integer (capped at the core count), or else every core; more
+    cells would oversubscribe the cores."""
+    cpu = os.cpu_count() or 1
+    blas = cpu
+    for var in BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            blas = min(threads, cpu)
+            break
+    return max(1, min(n_jobs, cpu // blas))
+
+
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run every grid cell at every seed (or the embedding check), then
-    write the tables and `metadata.txt`."""
+    write the tables and `metadata.txt`.  Grid cells run `cfg.workers` at
+    once, by default the cores BLAS leaves free (`default_workers`)."""
     _check_config(cfg)
     started = time.time()
     workers, outcomes, memo = 1, [], None
@@ -401,7 +424,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         obj = build_objective(cfg.problem)
         ref = metrics.compute_mstar_reference(obj, np.zeros(obj.d))
         jobs = [(cell, seed) for cell in cfg.grid for seed in cfg.seeds]
-        workers = cfg.workers or min(os.cpu_count() or 1, len(jobs))
+        workers = cfg.workers or default_workers(len(jobs))
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(
                 pool.map(lambda js: run_cell(obj, ref, js[0], cfg, js[1]), jobs)

@@ -151,8 +151,8 @@ class CurvatureMemo:
 class FiniteSumObjective:
     """Base interface for F(x) = (1/n) * sum_i f_i(x) (+ optional regularizer).
 
-    Concrete objectives provide the full derivatives, per-sample Hessians
-    of the loss part, and the sampling hooks used by the subsampled Hessian
+    Concrete objectives provide the full derivatives and the sampling hooks
+    (the roots of per-sample loss Hessians) used by the subsampled Hessian
     builders.  `K` bounds max_i ||hess f_i(x)||, `sigma` lower bounds the
     smallest eigenvalue of the full Hessian, and `L` upper bounds its
     largest eigenvalue.  `memo` holds what the objective's callers
@@ -208,10 +208,6 @@ class FiniteSumObjective:
         if self.memo is None:
             return compute()
         return self.memo.get(kind, self.curvature_key(x), compute)
-
-    # -- per-sample loss Hessians -------------------------------------------
-    def per_sample_hessian(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     # -- split-out regularizer ----------------------------------------------
     regularizer_scale: float = 0.0  # the regularizer Hessian is this times I
@@ -291,10 +287,6 @@ class LeastSquaresObjective(FiniteSumObjective):
 
     def curvature_key(self, x):
         return ()  # the Hessian is constant in x
-
-    def per_sample_hessian(self, i, x):
-        a = self._A[i]
-        return self.n * np.outer(a, a)
 
     def hessian_term_root(self, indices, x):
         return np.sqrt(self.n) * self._A[indices]
@@ -403,12 +395,6 @@ class SvmHinge2Objective(FiniteSumObjective):
 
     def curvature_key(self, x):
         return self._at(x).support_key
-
-    def per_sample_hessian(self, i, x):
-        if self._at(x).margins[i] < 1.0:
-            a = self._A[i]
-            return self.C * np.outer(a, a)
-        return np.zeros((self.d, self.d))
 
     regularizer_scale = 1.0  # the ridge term 0.5 * ||x||^2
 

@@ -3,6 +3,7 @@ import pytest
 
 from approxnewton import (
     LeastSquaresObjective,
+    SvmHinge2Objective,
     least_squares_objective,
     svm_hinge2_objective,
     synthetic_two_class,
@@ -55,6 +56,18 @@ def fd_gradient(f, x, h=1e-5):
 def fd_hessian_vector(grad, x, v, h=1e-6):
     """Central-difference directional derivative of a gradient map."""
     return (grad(x + h * v) - grad(x - h * v)) / (2 * h)
+
+
+def per_sample_hessian(obj, i, x):
+    """Hessian of the i-th loss term at x, scaled so the mean over i is the
+    loss Hessian: n * a_i a_i^T for least squares; C * a_i a_i^T for the SVM
+    on its support set at x, zero off it."""
+    a = obj._A[i]
+    if not isinstance(obj, SvmHinge2Objective):
+        return obj.n * np.outer(a, a)
+    if i in obj.hessian_sample_pool(x):
+        return obj.C * np.outer(a, a)
+    return np.zeros((obj.d, obj.d))
 
 
 class NanAfterFirstGradient(LeastSquaresObjective):

@@ -20,6 +20,7 @@ from approxnewton import (
 )
 from approxnewton.cli import main
 from approxnewton.experiments import (
+    BLAS_THREAD_VARS,
     CELL_KEYS,
     EMBEDDING_CHECK,
     EXPERIMENTS,
@@ -216,6 +217,30 @@ class TestRunExperiment:
         assert read(tmp_path / "serial/summary.csv") == read(
             tmp_path / "parallel/summary.csv"
         )
+
+    @pytest.mark.parametrize(
+        "env, workers, expected",
+        [
+            ({}, None, 1),  # OpenBLAS takes every core
+            ({"OPENBLAS_NUM_THREADS": "1"}, None, 8),
+            ({"OPENBLAS_NUM_THREADS": "4"}, None, 2),
+            ({"OMP_NUM_THREADS": "2"}, None, 4),
+            ({"OPENBLAS_NUM_THREADS": "junk"}, None, 1),
+            ({}, 3, 3),  # an explicit count wins
+        ],
+    )
+    def test_default_pool_takes_the_cores_blas_leaves_free(
+        self, tmp_path, monkeypatch, env, workers, expected
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        cfg = tiny_config(tmp_path, seeds=range(8))
+        cfg.grid, cfg.workers = [{"label": "newton", "method": "exact"}], workers
+        assert run_experiment(cfg) == 0
+        assert f"workers: {expected}" in read(tmp_path / "metadata.txt").splitlines()
 
     @pytest.mark.parametrize(
         "problem, grid",

@@ -24,6 +24,7 @@ from approxnewton.sketch import (
     make_oblivious_sketch,
     verify_subspace_embedding,
 )
+from conftest import per_sample_hessian
 
 
 def identity_sketch(m):
@@ -79,7 +80,7 @@ class TestSubsampledHessian:
         x = np.zeros(4)
         H = subsampled_hessian(ls_tiny, x, size=1, seed=3)
         diffs = [
-            np.linalg.norm(H.matrix - ls_tiny.per_sample_hessian(i, x))
+            np.linalg.norm(H.matrix - per_sample_hessian(ls_tiny, i, x))
             for i in range(ls_tiny.n)
         ]
         assert min(diffs) < 1e-12  # equals n * a_i a_i^T for the drawn i

@@ -28,6 +28,7 @@ from approxnewton import (
 )
 from approxnewton import rng
 from approxnewton.sketch import GAUSSIAN, make_oblivious_sketch, materialize
+from conftest import per_sample_hessian
 
 SOLVE_TOL = 1e-10  # relative residual of H.solve against the dense reference
 MAX_COND = 1e4  # solves are checked where the reference is this well conditioned
@@ -60,7 +61,7 @@ def reference_subsampled(obj, x, size, seed):
     loss = np.zeros((obj.d, obj.d))
     if pool.size:
         idx = pool[rng.generator(seed).integers(0, pool.size, size=size)]
-        loss = sum(obj.per_sample_hessian(i, x) for i in idx) / size
+        loss = sum(per_sample_hessian(obj, i, x) for i in idx) / size
     return pool.size / obj.n * loss + obj.regularizer_scale * np.eye(obj.d)
 
 
