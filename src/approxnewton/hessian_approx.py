@@ -228,9 +228,12 @@ def newsamp_hessian(
 
     Every eigenvalue of the subsampled matrix beyond the r largest is
     replaced by the (r+1)-th largest, so the top-r curvature is kept and the
-    tail is lifted to a common floor.  The eigenpairs come from a thin SVD of
-    the sampled root, whose rows bound the rank: r must be below both d and
-    the number of rows, or the floor would be the bare regularizer.
+    tail is lifted to a common floor.  The eigenpairs come from an `eigh` of
+    the sampled root's smaller Gram: R^T R, or R R^T with R^T mapping its
+    eigenvectors to directions; a kept pair of rounding-level eigenvalue
+    has no direction and is dropped, as its eigenvalue is the floor.  The
+    rows bound the rank: r must be below both d and the number of rows, or
+    the floor would be the bare regularizer.
     """
     if not 0 <= r < obj.d:
         raise DomainError(f"need 0 <= r < d={obj.d}, got r={r}")
@@ -240,11 +243,15 @@ def newsamp_hessian(
         raise DomainError(
             f"rank r={r} needs a sampled root of more than r rows, got {R.shape[0]}"
         )
-    _, sv, Vt = np.linalg.svd(R, full_matrices=False)
-    lam = sv**2 / k + c  # descending
+    wide = R.shape[0] < R.shape[1]
+    w, Q = np.linalg.eigh(R @ R.T if wide else R.T @ R)
+    w, Q = np.maximum(w[::-1], 0.0), Q[:, ::-1]  # descending
+    lam = w / k + c
     floor = float(lam[r])
+    kept = np.flatnonzero(w[:r] > w[0] * max(R.shape) * np.finfo(float).eps)
+    V = R.T @ Q[:, kept] / np.sqrt(w[kept]) if wide else Q[:, kept]
     meta = dict(meta, rank=int(r), eigenvalue_floor=floor)
-    return FlooredSpectrum(Vt[:r].T, lam[:r], floor, meta)
+    return FlooredSpectrum(V, lam[kept], floor, meta)
 
 
 def gradient_descent_hessian(obj: FiniteSumObjective) -> ApproxHessian:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData, ReferenceNotConverged, ShapeError
+from .errors import DomainError, InsufficientData, ReferenceNotConverged, ShapeError
 from .problems import FiniteSumObjective
 from .solvers import DIVERGED, IterationTrace, SolverConfig, approximate_newton_run
 
@@ -251,6 +251,8 @@ def spectral_norm(M: np.ndarray) -> float:
 
 def distance_bound_from_gradient(grad_mstar: float, L: float, mu: float) -> float:
     """Bound sqrt(L)/mu * r_t on the distance ||x_t - x*||."""
-    if L <= 0 or mu <= 0 or grad_mstar < 0:
-        raise ShapeError("L, mu must be positive and grad_mstar nonnegative")
-    return math.sqrt(L) / mu * grad_mstar
+    if not (0 < L < math.inf and 0 < mu < math.inf and grad_mstar >= 0):
+        raise DomainError(
+            f"need finite L, mu > 0 and grad_mstar >= 0, got {L}, {mu}, {grad_mstar}"
+        )
+    return math.sqrt(L) * grad_mstar / mu

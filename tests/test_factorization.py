@@ -3,7 +3,10 @@ Woodbury solve.
 
 The Newton loop must not call scipy's `cho_factor` or `cholesky`, which
 would run on scipy's own OpenBLAS thread pool beside numpy's; the
-`scipy_factor_raises` fixture makes any such call fail the run.
+`scipy_factor_raises` fixture makes any such call fail the run.  NewSamp
+takes its eigenpairs from one `eigh` on numpy's LAPACK; the
+`svd_and_scipy_eigh_raise` fixture fails a run that falls back to an SVD or
+to scipy's `eigh`.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from approxnewton import (
     approximate_newton_run,
     compute_mstar_reference,
 )
-from approxnewton.hessian_approx import DenseHessian, RootPlusShift
+from approxnewton.hessian_approx import DenseHessian, FlooredSpectrum, RootPlusShift
 
 
 @pytest.fixture
@@ -25,6 +28,16 @@ def scipy_factor_raises(monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
     monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
+
+
+@pytest.fixture
+def svd_and_scipy_eigh_raise(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a surrogate took an SVD or scipy's eigh")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(scipy.linalg, "svd", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
 
 
 def run_forms(obj, cfg):
@@ -55,6 +68,16 @@ class TestLoopWithoutScipyFactor:
         trace, forms = run_forms(obj, cfg)
         assert trace.n_steps >= 1
         assert forms == {form}
+
+    @pytest.mark.usefixtures("svd_and_scipy_eigh_raise")
+    @pytest.mark.parametrize("size", [12, 3])  # roots on both sides of d
+    def test_newsamp(self, fixture, request, size):
+        obj = request.getfixturevalue(fixture)
+        cfg = SolverConfig(hessian_method="newsamp", sample_size=size, rank=1,
+                           max_iters=10, grad_tol=1e-10, seed=3)
+        trace, forms = run_forms(obj, cfg)
+        assert trace.n_steps >= 1
+        assert forms == {FlooredSpectrum}
 
     def test_mstar_reference(self, fixture, request):
         obj = request.getfixturevalue(fixture)

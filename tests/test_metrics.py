@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from approxnewton import (
+    DomainError,
     InsufficientData,
     LeastSquaresObjective,
     ReferenceNotConverged,
@@ -254,6 +255,25 @@ class TestDistanceBound:
 
     def test_identity_curvature(self):
         assert distance_bound_from_gradient(0.3, 1.0, 1.0) == pytest.approx(0.3)
+
+    @pytest.mark.parametrize(
+        "grad_mstar, L, mu",
+        [
+            (0.3, 0.0, 1.0),
+            (0.3, -1.0, 1.0),
+            (0.3, 1.0, 0.0),
+            (0.3, 1.0, -1.0),
+            (-0.3, 1.0, 1.0),
+            (math.nan, 1.0, 1.0),
+            (0.3, math.nan, 1.0),
+            (0.3, 1.0, math.nan),
+            (0.0, math.inf, 1.0),
+            (0.3, 1.0, math.inf),
+        ],
+    )
+    def test_bad_values_rejected(self, grad_mstar, L, mu):
+        with pytest.raises(DomainError):
+            distance_bound_from_gradient(grad_mstar, L, mu)
 
     def test_bound_dominates_distance_along_trace(self, ls_tiny):
         ref = compute_mstar_reference(ls_tiny, np.zeros(4))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from approxnewton import (
     DomainError,
     NotPositiveDefinite,
+    SvmHinge2Objective,
     gradient_descent_hessian,
     least_squares_objective,
     newsamp_hessian,
@@ -144,6 +145,34 @@ def test_newsamp_matches_floored_eigendecomposition(problem, data):
     assert H.meta["eigenvalue_floor"] == pytest.approx(
         np.linalg.eigvalsh(ref)[0], abs=1e-10 * max(1.0, np.abs(ref).max())
     )
+    check_against(H, ref, gen)
+
+
+class ThreeRowPool(SvmHinge2Objective):
+    """SVM whose subsampled Hessian draws from three fixed rows, so every
+    sampled root has rank at most three."""
+
+    def hessian_sample_pool(self, x):
+        return np.arange(3)
+
+    def hessian_term_root(self, indices, x):
+        return np.sqrt(self.C * 3 / self.n) * self._A[indices]
+
+
+def test_newsamp_on_a_root_of_rank_below_r():
+    # 12 rows of rank 3 in d = 20, r = 5: the Gram R R^T has two kept
+    # eigenvalues at rounding level, which no direction of the root stands
+    # behind
+    obj = ThreeRowPool(synthetic_two_class(40, 20, seed=5), C=1.0)
+    x, gen = np.zeros(obj.d), np.random.Generator(np.random.Philox(key=4))
+    H = newsamp_hessian(obj, x, size=12, r=5, seed=1)
+    assert np.isfinite(H.U).all()
+    np.testing.assert_allclose(H.U.T @ H.U, np.eye(H.U.shape[1]), rtol=0, atol=1e-12)
+    ref = reference_floored(reference_subsampled(obj, x, 12, 1), 5)
+    assert H.meta["eigenvalue_floor"] == pytest.approx(
+        np.linalg.eigvalsh(ref)[0], rel=1e-12
+    )
+    assert well_conditioned(ref)  # so check_against also checks the solve
     check_against(H, ref, gen)
 
 
