@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpotrs
 
 from . import rng
 from .errors import DomainError, NotPositiveDefinite, ShapeError
@@ -37,18 +38,26 @@ def _symmetrized(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def _cholesky(M: np.ndarray):
+def _cholesky(M: np.ndarray) -> np.ndarray:
     # numpy and scipy each ship an OpenBLAS with its own thread pool, and the
     # gradient runs on numpy's: factoring with scipy would wake a second pool
     # at every step, whose idle workers then spin against numpy's for the
-    # cores.  numpy's factor is scipy's bit for bit, in the `(c, lower)` form
-    # `cho_solve` reads; a solve with one right-hand side runs on one thread.
+    # cores.  numpy's upper factor is scipy's bit for bit; it is kept in the
+    # Fortran order `_cho_solve` reads, so no solve copies it.
     if not np.isfinite(M).all():
         raise NotPositiveDefinite("H has non-finite entries")
     try:
-        return np.linalg.cholesky(M, upper=True), False
+        return np.asfortranarray(np.linalg.cholesky(M, upper=True))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("H is not positive definite") from exc
+
+
+def _cho_solve(U: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # the `dpotrs` call `scipy.linalg.cho_solve` makes, bit for bit, without
+    # its finite checks and its copy of the factor; a solve with one
+    # right-hand side runs on one thread.  LAPACK's wrapper refuses an empty
+    # system, whose solution is the empty b.
+    return dpotrs(U, b)[0] if b.size else b
 
 
 class ApproxHessian:
@@ -83,7 +92,7 @@ class DenseHessian(ApproxHessian):
     def solve(self, g):
         if self._factor is None:
             self._factor = _cholesky(self.matrix)
-        return scipy.linalg.cho_solve(self._factor, g)
+        return _cho_solve(self._factor, g)
 
 
 class RootPlusShift(ApproxHessian):
@@ -112,7 +121,7 @@ class RootPlusShift(ApproxHessian):
             K = self.R @ self.R.T
             K[np.diag_indices_from(K)] += self.k * self.c
             self._factor = _cholesky(K)
-        inner = scipy.linalg.cho_solve(self._factor, self.R @ g)
+        inner = _cho_solve(self._factor, self.R @ g)
         return (g - self.R.T @ inner) / self.c
 
     @functools.cached_property

@@ -191,19 +191,27 @@ class FiniteSumObjective:
 
     def leverage_scores(self, x: np.ndarray) -> np.ndarray:
         """`sketch.leverage_scores` of the Hessian factor at x, computed
-        once per curvature key while the memo holds it."""
-        return self._decomposition("leverage_scores", x)
+        once per curvature key while the memo holds it.  A leverage step
+        samples the rows of that factor too, so the scores are taken from
+        the memoized `hessian_factor`."""
+        return self._decomposition("leverage_scores", x, self.hessian_factor)
 
     def triangular_factor(self, x: np.ndarray) -> np.ndarray:
         """`sketch.triangular_factor` of the Hessian factor at x, memoized
-        like `leverage_scores`."""
-        return self._decomposition("triangular_factor", x)
+        like `leverage_scores`.  A Gaussian step reads only this, so the
+        factor is built for it and not stored: kept, it would evict the
+        small triangular factors to make room for itself."""
+        return self._decomposition("triangular_factor", x, self._factor)
 
-    def _decomposition(self, kind: str, x: np.ndarray) -> np.ndarray:
+    def _factor(self, x: np.ndarray) -> np.ndarray:
+        """The Hessian factor at x, built without the memo."""
+        return self.hessian_factor(x)
+
+    def _decomposition(self, kind: str, x: np.ndarray, factor) -> np.ndarray:
         # `kind` names the `sketch` function; it is looked up at call time,
         # so a wrapper installed on the module (a tracer, a test) sees it
         def compute():
-            return getattr(sketch, kind)(self.hessian_factor(x))
+            return getattr(sketch, kind)(factor(x))
 
         if self.memo is None:
             return compute()
@@ -234,7 +242,9 @@ class LeastSquaresObjective(FiniteSumObjective):
     """F(x) = 0.5 * ||A x - b||^2 with f_i(x) = (n/2) * (a_i.x - b_i)^2.
 
     The Hessian A.T @ A is constant in x and factors exactly as B = A; both
-    are handed out read-only, so every caller shares one copy.  `sigma` and
+    are handed out read-only, so every caller shares one copy.  The gradient
+    is (A.T @ A) x - A.T b from that Gram and A.T b, formed once, so it
+    costs one d x d product and no pass over the n rows.  `sigma` and
     `L` are the extreme eigenvalues of that Gram.  `RankDeficient` is raised
     when the smallest singular value of A is at most `_RANK_TOL`, that is
     when sigma <= _RANK_TOL**2; where the Gram's rounding could decide that
@@ -263,6 +273,7 @@ class LeastSquaresObjective(FiniteSumObjective):
             eigs = svals[::-1] ** 2
         self._A = A
         self._b = b
+        self._Atb = A.T @ b
         self._row_sq = np.einsum("ij,ij->i", A, A)
         self.sigma = float(eigs[0])
         self.L = float(eigs[-1])
@@ -277,7 +288,7 @@ class LeastSquaresObjective(FiniteSumObjective):
 
     def gradient(self, x):
         x = self._check_x(x)
-        return self._A.T @ (self._A @ x - self._b)
+        return self._hessian @ x - self._Atb
 
     def full_hessian(self, x):
         return self._hessian
@@ -384,14 +395,13 @@ class SvmHinge2Objective(FiniteSumObjective):
 
         return self.memo.get("full_hessian", point.support_key, compute)
 
+    def _factor(self, x):
+        sv = self._support_rows(self._at(x))
+        return np.vstack([np.sqrt(self.C / self.n) * sv, np.eye(self.d)])
+
     def hessian_factor(self, x):
-        point = self._at(x)
-
-        def compute():
-            sv = self._support_rows(point)
-            return np.vstack([np.sqrt(self.C / self.n) * sv, np.eye(self.d)])
-
-        return self.memo.get("hessian_factor", point.support_key, compute)
+        key = self.curvature_key(x)
+        return self.memo.get("hessian_factor", key, lambda: self._factor(x))
 
     def curvature_key(self, x):
         return self._at(x).support_key

@@ -10,6 +10,8 @@ therefore draw from statistically independent streams.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -18,6 +20,7 @@ def generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
+@functools.lru_cache(maxsize=4096)  # a pure function, called at every step
 def child_seed(seed: int, *tags: int) -> int:
     """Derive a deterministic sub-seed from a run seed and stream tags."""
     ss = np.random.SeedSequence(entropy=[int(seed)] + [int(t) for t in tags])

@@ -167,10 +167,10 @@ def apply_sketch(S: SketchOperator, A: np.ndarray) -> np.ndarray:
     if S.kind == GAUSSIAN:
         return S.payload["matrix"] @ A
     if S.kind == SPARSE_EMBEDDING:
-        rows = S.payload["rows"]
-        signs = S.payload["signs"]
-        mat = scipy.sparse.csr_matrix(
-            (signs, (rows, np.arange(S.m))), shape=(S.s, S.m)
+        # one nonzero per column: the CSC arrays are the payload itself
+        mat = scipy.sparse.csc_matrix(
+            (S.payload["signs"], S.payload["rows"], np.arange(S.m + 1)),
+            shape=(S.s, S.m),
         )
         return np.asarray(mat @ A)
     return A[S.payload["indices"]] * S.payload["weights"][:, None]

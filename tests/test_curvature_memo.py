@@ -285,8 +285,8 @@ def test_gaussian_sketch_builds_the_factor_only_to_decompose_it(monkeypatch):
     # the Gaussian path sketches the triangular factor, so the Hessian factor
     # is built on its memo misses alone, not once per step
     built, decomposed = [], []
-    factor, triangular = SvmHinge2Objective.hessian_factor, sketch.triangular_factor
-    monkeypatch.setattr(SvmHinge2Objective, "hessian_factor",
+    factor, triangular = SvmHinge2Objective._factor, sketch.triangular_factor
+    monkeypatch.setattr(SvmHinge2Objective, "_factor",
                         lambda obj, x: built.append(1) or factor(obj, x))
     monkeypatch.setattr(sketch, "triangular_factor",
                         lambda B: decomposed.append(1) or triangular(B))
@@ -299,6 +299,24 @@ def test_gaussian_sketch_builds_the_factor_only_to_decompose_it(monkeypatch):
         steps += approximate_newton_run(obj, cfg, np.zeros(obj.d)).n_steps
     assert steps == 12
     assert len(built) == len(decomposed) < steps
+
+
+def test_gaussian_sketch_keeps_decompositions_not_the_factor():
+    # the Gaussian path reads the Hessian factor only to decompose it, so
+    # the factor is not stored, and cannot evict the decompositions under
+    # the default bound: the later runs find the one at x = 0
+    obj = svm()
+    for seed in range(3):
+        cfg = SolverConfig(hessian_method="sketched", sketch_kind="gaussian",
+                           sketch_size=40, max_iters=4, grad_tol=1e-300, seed=seed)
+        warm = approximate_newton_run(obj, cfg, np.zeros(obj.d))
+        fresh = approximate_newton_run(svm(), cfg, np.zeros(obj.d))
+        assert warm.n_steps == 4
+        assert warm.grad_norms == fresh.grad_norms
+        assert np.array_equal(warm.x_final, fresh.x_final)
+    stats = obj.memo.stats()
+    assert stats["triangular_factor"][0] >= 2
+    assert "hessian_factor" not in stats
 
 
 def test_objective_without_memo_recomputes():

@@ -2,11 +2,13 @@
 Woodbury solve.
 
 The Newton loop must not call scipy's `cho_factor` or `cholesky`, which
-would run on scipy's own OpenBLAS thread pool beside numpy's; the
-`scipy_factor_raises` fixture makes any such call fail the run.  NewSamp
-takes its eigenpairs from one `eigh` on numpy's LAPACK; the
-`svd_and_scipy_eigh_raise` fixture fails a run that falls back to an SVD or
-to scipy's `eigh`.
+would run on scipy's own OpenBLAS thread pool beside numpy's, nor
+`cho_solve`, which checks and copies the factor at every solve; the
+`scipy_cholesky_raises` fixture makes any such call fail the run.  The
+solves call the `dpotrs` that `cho_solve` calls, with the same result bit
+for bit.  NewSamp takes its eigenpairs from one `eigh` on numpy's LAPACK;
+the `svd_and_scipy_eigh_raise` fixture fails a run that falls back to an
+SVD or to scipy's `eigh`.
 """
 
 import numpy as np
@@ -22,12 +24,13 @@ from approxnewton.hessian_approx import DenseHessian, FlooredSpectrum, RootPlusS
 
 
 @pytest.fixture
-def scipy_factor_raises(monkeypatch):
+def scipy_cholesky_raises(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("scipy's LAPACK factored a surrogate")
+        raise AssertionError("scipy's Cholesky factored or solved a surrogate")
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", refuse)
     monkeypatch.setattr(scipy.linalg, "cholesky", refuse)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", refuse)
 
 
 @pytest.fixture
@@ -49,7 +52,7 @@ def run_forms(obj, cfg):
     return trace, set(forms)
 
 
-@pytest.mark.usefixtures("scipy_factor_raises")
+@pytest.mark.usefixtures("scipy_cholesky_raises")
 @pytest.mark.parametrize("fixture", ["ls_small", "svm_tiny"])
 class TestLoopWithoutScipyFactor:
     def test_exact_newton_and_newton_cg(self, fixture, request):
@@ -83,3 +86,19 @@ class TestLoopWithoutScipyFactor:
         obj = request.getfixturevalue(fixture)
         ref = compute_mstar_reference(obj, np.zeros(obj.d))
         assert np.linalg.norm(obj.gradient(ref.x_star)) < 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 5, 54, 200])
+def test_solves_match_cho_solve_bit_for_bit(d):
+    gen = np.random.Generator(np.random.Philox(key=d))
+    g = gen.standard_normal(d)
+    A = gen.standard_normal((d + 3, d))
+    H = DenseHessian(A.T @ A)
+    p = H.solve(g)
+    assert np.array_equal(p, scipy.linalg.cho_solve((H._factor, False), g))
+    for rows in (0, d // 2):  # no rows: H is the bare shift
+        R = gen.standard_normal((rows, d))
+        H = RootPlusShift(R, 4, 0.3)
+        p = H.solve(g)
+        inner = scipy.linalg.cho_solve((H._factor, False), R @ g)
+        assert np.array_equal(p, (g - R.T @ inner) / 0.3)

@@ -68,6 +68,24 @@ class TestLeastSquares:
         g_fd = fd_gradient(ls_small.value, x)
         np.testing.assert_allclose(g, g_fd, rtol=1e-6)
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(1, 10), st.integers(1, 50), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-8, 1.0, 1e3]))
+    def test_gradient_from_gram_matches_residual_form(self, d, extra, key, offset):
+        # (A^T A) x - A^T b against A^T (A x - b), with columns of unequal
+        # scale and x at, near and far from the solution, where the
+        # cancellation is worst; the tolerance is the rounding of the
+        # products both forms are made of, for up to 60 rows
+        gen = np.random.Generator(np.random.Philox(key=key))
+        A = gen.standard_normal((d + extra, d)) * np.exp(gen.uniform(-3, 3, size=d))
+        b = gen.standard_normal(d + extra) * 10.0 ** gen.uniform(-3, 3)
+        x = np.linalg.lstsq(A, b)[0] + offset * gen.standard_normal(d)
+        obj = least_squares_objective(A, b)
+        gram, Atb = A.T @ A, A.T @ b
+        tol = 64 * EPS * (np.linalg.norm(gram, 2) * np.linalg.norm(x)
+                          + np.linalg.norm(Atb))
+        assert np.linalg.norm(obj.gradient(x) - A.T @ (A @ x - b)) <= tol
+
     def test_value_matches_definition(self, ls_small):
         gen = np.random.Generator(np.random.Philox(key=3))
         x = gen.standard_normal(ls_small.d)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from approxnewton import (
     DomainError,
@@ -132,6 +133,20 @@ class TestApply:
                 materialize(S) @ wide_matrix,
                 atol=1e-12,
             )
+
+    @pytest.mark.parametrize("s, m", [(1, 7), (25, 300), (432, 5000)])
+    def test_sparse_embedding_bit_for_bit(self, s, m):
+        # against the COO-built CSR product, which sums each row's terms in
+        # the same column order; against the dense operator on integer
+        # entries, whose sums are exact in any order
+        gen = np.random.Generator(np.random.Philox(key=m))
+        S = make_oblivious_sketch(SPARSE_EMBEDDING, s, m, seed=5)
+        rows, signs = S.payload["rows"], S.payload["signs"]
+        csr = scipy.sparse.csr_matrix((signs, (rows, np.arange(m))), shape=(s, m))
+        A = gen.standard_normal((m, 6))
+        assert np.array_equal(apply_sketch(S, A), csr @ A)
+        A = gen.integers(-8, 9, size=(m, 6)).astype(float)
+        assert np.array_equal(apply_sketch(S, A), materialize(S) @ A)
 
     def test_gaussian_norm_preservation_majority_of_seeds(self):
         # for each x, most seeds keep ||SAx||^2 within 50% of ||Ax||^2
