@@ -417,12 +417,18 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     once, by default the cores BLAS leaves free (`default_workers`)."""
     _check_config(cfg)
     started = time.time()
-    workers, outcomes, memo = 1, [], None
+    workers, outcomes, memo, setup_ms = 1, [], None, {}
     if cfg.experiment == EMBEDDING_CHECK:
         tables = _embedding_tables(cfg)
     else:
+        tic = time.perf_counter()
         obj = build_objective(cfg.problem)
+        built = time.perf_counter()
         ref = metrics.compute_mstar_reference(obj, np.zeros(obj.d))
+        setup_ms = {
+            "build_objective_ms": 1e3 * (built - tic),
+            "reference_ms": 1e3 * (time.perf_counter() - built),
+        }
         jobs = [(cell, seed) for cell in cfg.grid for seed in cfg.seeds]
         workers = cfg.workers or default_workers(len(jobs))
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -434,11 +440,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.output_dir, exist_ok=True)
     for name, (columns, rows) in tables.items():
         _write_csv(os.path.join(cfg.output_dir, name), columns, rows)
-    _write_metadata(cfg, started, workers, outcomes, memo)
+    _write_metadata(cfg, started, workers, outcomes, memo, setup_ms)
     return 2 if any(o.error is not None for o in outcomes) else 0
 
 
-def _write_metadata(cfg, started, workers, outcomes, memo) -> None:
+def _write_metadata(cfg, started, workers, outcomes, memo, setup_ms) -> None:
     # Everything time- or machine-dependent lives here, outside the
     # deterministic CSVs.
     with open(os.path.join(cfg.output_dir, "metadata.txt"), "w") as fh:
@@ -455,6 +461,8 @@ def _write_metadata(cfg, started, workers, outcomes, memo) -> None:
             if var in os.environ:
                 fh.write(f"{var}: {os.environ[var]}\n")
         fh.write(f"workers: {workers}\n")
+        for name, ms in setup_ms.items():
+            fh.write(f"{name}: {ms:.3f}\n")
         if memo is not None:
             for kind, (hits, misses, held) in memo.stats().items():
                 fh.write(f"memo {kind}: hits={hits} misses={misses} bytes={held}\n")

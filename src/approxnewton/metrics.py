@@ -19,12 +19,15 @@ inconclusive.  Window and thresholds are calibration constants (see README).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import DomainError, InsufficientData, ReferenceNotConverged, ShapeError
+from .hessian_approx import _cholesky
 from .problems import FiniteSumObjective
 from .solvers import DIVERGED, IterationTrace, SolverConfig, approximate_newton_run
 
@@ -44,13 +47,26 @@ DIVERGED_CLASS = "diverged"
 REFERENCE_MAX_ITERS = 200  # exact Newton steps allowed to locate x*
 
 
-@dataclass
 class MstarReference:
-    """The optimum and the symmetric square root of the inverse Hessian
-    there."""
+    """The optimum x*, the Hessian H* there and its upper Cholesky factor U.
 
-    x_star: np.ndarray
-    mstar_half: np.ndarray
+    `H*^{-1} = U^{-1} U^{-T}`, so the M*-norm of v is `||U^{-T} v||` and
+    takes one triangular solve (`mstar_norm`).  The factor is numpy's, in
+    the Fortran order LAPACK reads, as every surrogate's is.  `hessian` is
+    held as given, not copied.
+    """
+
+    def __init__(self, x_star: np.ndarray, hessian: np.ndarray):
+        self.x_star = x_star
+        self.hessian = hessian
+        self.factor = _cholesky(hessian)
+
+    @functools.cached_property
+    def mstar_half(self) -> np.ndarray:
+        """The symmetric square root `H*^{-1/2}`, from an `eigh` of H* made
+        on first access; the norm itself never reads it."""
+        w, V = np.linalg.eigh(self.hessian)
+        return (V / np.sqrt(w)) @ V.T
 
 
 @dataclass
@@ -62,8 +78,8 @@ class RateReport:
 
 
 def compute_mstar_reference(obj: FiniteSumObjective, x0: np.ndarray) -> MstarReference:
-    """Locate x* by exact Newton and take the inverse square root of the
-    Hessian there.
+    """Locate x* by exact Newton and factor the Hessian there (one
+    Cholesky; see `MstarReference`).
 
     The reference gradient tolerance is 1e-13 scaled by max(1, ||grad F(x0)||).
     """
@@ -78,18 +94,18 @@ def compute_mstar_reference(obj: FiniteSumObjective, x0: np.ndarray) -> MstarRef
             f"||grad|| = {trace.grad_norms[-1]:.3e} (tol {tol:.3e})"
         )
     x_star = trace.x_final
-    w, V = np.linalg.eigh(obj.full_hessian(x_star))
-    return MstarReference(x_star, (V / np.sqrt(w)) @ V.T)
+    return MstarReference(x_star, obj.full_hessian(x_star))
 
 
 def mstar_norm(ref: MstarReference, v: np.ndarray) -> float:
-    """Norm of v weighted by the inverse Hessian at the optimum."""
+    """Norm of v weighted by the inverse Hessian at the optimum,
+    `sqrt(v^T H*^{-1} v) = ||U^{-T} v||`: one LAPACK triangular solve, on
+    one thread for one right-hand side."""
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != ref.mstar_half.shape[0]:
-        raise ShapeError(
-            f"vector has dimension {v.shape[0]}, reference {ref.mstar_half.shape[0]}"
-        )
-    return float(np.linalg.norm(ref.mstar_half @ v))
+    d = ref.factor.shape[0]
+    if v.shape[0] != d:
+        raise ShapeError(f"vector has dimension {v.shape[0]}, reference {d}")
+    return float(np.linalg.norm(dtrtrs(ref.factor, v, lower=0, trans=1)[0]))
 
 
 def fill_mstar_norms(trace: IterationTrace, ref: MstarReference) -> list[float]:
@@ -209,7 +225,7 @@ def contraction_diagnostics(
     mu = obj.sigma
     L = obj.L
     kappa = max(1.0, L / mu)
-    hess_star = obj.full_hessian(ref.x_star)
+    hess_star = ref.hessian
     w_star, V_star = np.linalg.eigh(hess_star)
     inv_star = (V_star / w_star) @ V_star.T
     rows = []

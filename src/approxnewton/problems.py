@@ -501,8 +501,13 @@ def synthetic_two_class(
     labels = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     direction = gen.standard_normal(d)
     direction /= np.linalg.norm(direction)
-    rows = gen.standard_normal((n, d)) / np.sqrt(d)
-    rows += np.outer(labels * (separation / 2.0), direction)
+    rows = gen.standard_normal((n, d))
+    rows /= np.sqrt(d)
+    # labels alternate +1, -1 by index, so the shift is added to the even
+    # rows and taken from the odd ones in place, with no n x d temporary
+    shift = (separation / 2.0) * direction
+    rows[0::2] += shift
+    rows[1::2] -= shift
     return DatasetMatrix(rows, labels, name=f"two-class-n{n}-d{d}")
 
 

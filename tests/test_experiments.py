@@ -337,6 +337,13 @@ class TestRunExperiment:
         (line,) = [line for line in lines if line.startswith("config: ")]
         assert ExperimentConfig(**json.loads(line[len("config: "):])) == cfg
 
+    def test_metadata_times_objective_build_and_reference(self, tmp_path):
+        assert run_experiment(tiny_config(tmp_path)) == 0
+        metadata = read(tmp_path / "metadata.txt").splitlines()
+        for name in ("build_objective_ms", "reference_ms"):
+            (line,) = [line for line in metadata if line.startswith(f"{name}: ")]
+            assert float(line.split(": ")[1]) >= 0.0
+
     def test_metadata_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)

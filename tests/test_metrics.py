@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from approxnewton import (
     DomainError,
@@ -30,10 +32,7 @@ from approxnewton.solvers import IterationTrace, SolverConfig
 
 
 def make_reference(matrix):
-    w, V = np.linalg.eigh(matrix)
-    return MstarReference(
-        x_star=np.zeros(matrix.shape[0]), mstar_half=(V / np.sqrt(w)) @ V.T
-    )
+    return MstarReference(np.zeros(matrix.shape[0]), matrix)
 
 
 def trace_from_residuals(res, ref):
@@ -139,6 +138,37 @@ class TestMstarNorm:
         ref = make_reference(np.eye(3))
         with pytest.raises(ShapeError):
             mstar_norm(ref, np.ones(4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 30),
+        log_cond=st.floats(0.0, 6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_factor_norm_matches_inverse_square_root(self, d, log_cond, seed):
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        Q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+        H = (Q * np.logspace(0.0, log_cond, d)) @ Q.T
+        H = 0.5 * (H + H.T)
+        v = gen.standard_normal(d)
+        ref = MstarReference(np.zeros(d), H)
+        assert mstar_norm(ref, v) == pytest.approx(
+            float(np.linalg.norm(ref.mstar_half @ v)), rel=1e-8
+        )
+        w, V = np.linalg.eigh(H)
+        assert ref.mstar_half.tobytes() == ((V / np.sqrt(w)) @ V.T).tobytes()
+
+    def test_reference_holds_the_hessian_and_no_eigh(self, ls_tiny, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("the reference ran an eigh")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        ref = compute_mstar_reference(ls_tiny, np.zeros(4))
+        assert ref.hessian is ls_tiny.full_hessian(ref.x_star)
+        v = np.arange(1.0, 5.0)
+        assert mstar_norm(ref, v) == pytest.approx(
+            math.sqrt(v @ np.linalg.solve(ref.hessian, v)), rel=1e-12
+        )
 
 
 class TestClassifyRate:

@@ -1,5 +1,6 @@
 import os
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -22,6 +23,7 @@ from approxnewton import (
     synthetic_spectrum_matrix,
     synthetic_two_class,
 )
+from approxnewton import rng
 from approxnewton.experiments import build_objective, default_config
 from approxnewton.metrics import compute_mstar_reference
 from approxnewton.problems import CurvatureMemo
@@ -398,6 +400,25 @@ class TestTwoClass:
     def test_shapes_validated(self):
         with pytest.raises(ShapeError):
             synthetic_two_class(1, 3, seed=1)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_rows_match_outer_product_shift_bit_for_bit(self, n):
+        ds = synthetic_two_class(n, 5, seed=11, separation=1.7)
+        gen = rng.generator(11)
+        direction = gen.standard_normal(5)
+        direction /= np.linalg.norm(direction)
+        expected = gen.standard_normal((n, 5)) / np.sqrt(5)
+        expected += np.outer(ds.labels * (1.7 / 2.0), direction)
+        assert ds.rows.tobytes() == expected.tobytes()
+
+    def test_build_holds_one_copy_of_the_rows(self):
+        tracemalloc.start()
+        try:
+            ds = synthetic_two_class(4000, 50, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * ds.rows.nbytes
 
 
 class TestLibsvmReader:
