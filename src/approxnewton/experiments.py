@@ -24,7 +24,7 @@ import sys
 import time
 from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 import scipy
@@ -129,7 +129,9 @@ class ExperimentConfig:
 @dataclass
 class RunOutcome:
     """One run of one cell: its trace, or the error that ended it, kept as
-    "<Type>: <message>" so that no traceback keeps the run's arrays alive."""
+    "<Type>: <message>" so that no traceback keeps the run's arrays alive.
+    `same_as` is the tag of the run whose outcome this seed reuses, when
+    its cell's method draws no random numbers."""
 
     tag: str
     seed: int
@@ -137,6 +139,7 @@ class RunOutcome:
     rate_class: str = ""
     rho: float | None = None
     error: str | None = None
+    same_as: str | None = None
 
 
 def _fmt(x) -> str:
@@ -252,6 +255,17 @@ def _label(cell: dict) -> str:
     return cell.get("label") or cell.get("method", "run")
 
 
+def _tag(cell: dict, seed: int) -> str:
+    return f"{_label(cell)}_s{seed}"
+
+
+def _run_seeds(cell: dict, cfg: ExperimentConfig) -> list[int]:
+    """The seeds a cell runs at: every seed, or the first alone when its
+    method draws no random numbers, so that every seed's run is the same."""
+    method = _solver_config(cell, cfg, cfg.seeds[0]).hessian_method
+    return cfg.seeds if method in solvers.RANDOMIZED_METHODS else cfg.seeds[:1]
+
+
 def run_cell(
     obj: FiniteSumObjective,
     ref: metrics.MstarReference,
@@ -260,7 +274,7 @@ def run_cell(
     seed: int,
 ) -> RunOutcome:
     """Execute one grid cell at one seed and classify its trace."""
-    tag = f"{_label(cell)}_s{seed}"
+    tag = _tag(cell, seed)
     try:
         x0 = np.zeros(obj.d)
         warm = cell.get("warm_start_steps", 0)
@@ -413,8 +427,15 @@ def default_workers(n_jobs: int) -> int:
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run every grid cell at every seed (or the embedding check), then
-    write the tables and `metadata.txt`.  Grid cells run `cfg.workers` at
-    once, by default the cores BLAS leaves free (`default_workers`)."""
+    write the tables and `metadata.txt`.
+
+    A cell whose method draws no random numbers (exact Newton, Newton-CG,
+    gradient descent) runs once, at the first seed, and its outcome is
+    written under every seed: the runs would be the same.  The distinct
+    runs go `cfg.workers` at once, by default the cores BLAS leaves free
+    (`default_workers`), and share the objective, so its memo holds what
+    they have in common: the gradient at each x, and the Hessian and its
+    factors at each curvature key."""
     _check_config(cfg)
     started = time.time()
     workers, outcomes, memo, setup_ms = 1, [], None, {}
@@ -429,12 +450,21 @@ def run_experiment(cfg: ExperimentConfig) -> int:
             "build_objective_ms": 1e3 * (built - tic),
             "reference_ms": 1e3 * (time.perf_counter() - built),
         }
-        jobs = [(cell, seed) for cell in cfg.grid for seed in cfg.seeds]
-        workers = cfg.workers or default_workers(len(jobs))
+        runs = [(i, seed) for i, cell in enumerate(cfg.grid)
+                for seed in _run_seeds(cell, cfg)]
+        workers = cfg.workers or default_workers(len(runs))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(lambda js: run_cell(obj, ref, js[0], cfg, js[1]), jobs)
-            )
+            done = pool.map(lambda r: run_cell(obj, ref, cfg.grid[r[0]], cfg, r[1]),
+                            runs)
+            ran = dict(zip(runs, done))
+        for i, cell in enumerate(cfg.grid):
+            first = ran[i, cfg.seeds[0]]
+            for seed in cfg.seeds:
+                outcome = ran.get((i, seed))
+                if outcome is None:
+                    outcome = replace(first, tag=_tag(cell, seed), seed=seed,
+                                      same_as=first.tag)
+                outcomes.append(outcome)
         memo = obj.memo
         tables = _grid_tables(cfg, outcomes)
     os.makedirs(cfg.output_dir, exist_ok=True)
@@ -467,6 +497,9 @@ def _write_metadata(cfg, started, workers, outcomes, memo, setup_ms) -> None:
             for kind, (hits, misses, held) in memo.stats().items():
                 fh.write(f"memo {kind}: hits={hits} misses={misses} bytes={held}\n")
         for o in outcomes:
+            if o.same_as is not None:
+                fh.write(f"run {o.tag}: same run as {o.same_as}\n")
+                continue
             wall_ms = sum(o.trace.wall_ms) if o.trace is not None else 0.0
             fh.write(f"run {o.tag}: total_wall_ms={wall_ms:.3f}\n")
         for o in outcomes:

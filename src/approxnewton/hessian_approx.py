@@ -79,20 +79,27 @@ class ApproxHessian:
 
 
 class DenseHessian(ApproxHessian):
-    """H = M, factored by Cholesky on the first solve."""
+    """H = M, factored by Cholesky on the first solve: by `cholesky()`
+    when given, a callable that returns M's upper Cholesky factor."""
 
-    def __init__(self, M: np.ndarray, meta: dict | None = None):
+    def __init__(self, M: np.ndarray, meta: dict | None = None, cholesky=None):
         super().__init__(M.shape[0], meta)
         self.matrix = M
+        self._cholesky = cholesky or functools.partial(_cholesky, M)
         self._factor = None
+
+    @property
+    def factor(self) -> np.ndarray:
+        """The upper Cholesky factor of M, made on first use."""
+        if self._factor is None:
+            self._factor = self._cholesky()
+        return self._factor
 
     def matvec(self, v):
         return self.matrix @ v
 
     def solve(self, g):
-        if self._factor is None:
-            self._factor = _cholesky(self.matrix)
-        return _cho_solve(self._factor, g)
+        return _cho_solve(self.factor, g)
 
 
 class RootPlusShift(ApproxHessian):
@@ -178,6 +185,19 @@ def _root_plus_shift(R: np.ndarray, k: int, c: float, meta: dict) -> ApproxHessi
     if R.shape[0] < d:
         return RootPlusShift(R, k, c, meta)
     return DenseHessian(_symmetrized(R.T @ R / k + c * np.eye(d)), meta)
+
+
+def exact_hessian(obj: FiniteSumObjective, x: np.ndarray) -> DenseHessian:
+    """The full Hessian at x.  Its Cholesky factor is memoized like the
+    Hessian, under the objective's curvature key, so the exact steps and
+    the M* reference at one key factor it once."""
+    M = obj.full_hessian(x)
+    if obj.memo is None:
+        return DenseHessian(M)
+    key = obj.curvature_key(x)
+    return DenseHessian(
+        M, cholesky=lambda: obj.memo.get("hessian_cholesky", key, lambda: _cholesky(M))
+    )
 
 
 def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:

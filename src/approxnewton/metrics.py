@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DomainError, InsufficientData, ReferenceNotConverged, ShapeError
-from .hessian_approx import _cholesky
+from .hessian_approx import _cholesky, exact_hessian
 from .problems import FiniteSumObjective
 from .solvers import DIVERGED, IterationTrace, SolverConfig, approximate_newton_run
 
@@ -52,14 +52,17 @@ class MstarReference:
 
     `H*^{-1} = U^{-1} U^{-T}`, so the M*-norm of v is `||U^{-T} v||` and
     takes one triangular solve (`mstar_norm`).  The factor is numpy's, in
-    the Fortran order LAPACK reads, as every surrogate's is.  `hessian` is
-    held as given, not copied.
+    the Fortran order LAPACK reads, as every surrogate's is; it is made
+    here unless given.  `hessian` and `factor` are held as given, not
+    copied.
     """
 
-    def __init__(self, x_star: np.ndarray, hessian: np.ndarray):
+    def __init__(
+        self, x_star: np.ndarray, hessian: np.ndarray, factor: np.ndarray | None = None
+    ):
         self.x_star = x_star
         self.hessian = hessian
-        self.factor = _cholesky(hessian)
+        self.factor = _cholesky(hessian) if factor is None else factor
 
     @functools.cached_property
     def mstar_half(self) -> np.ndarray:
@@ -79,7 +82,8 @@ class RateReport:
 
 def compute_mstar_reference(obj: FiniteSumObjective, x0: np.ndarray) -> MstarReference:
     """Locate x* by exact Newton and factor the Hessian there (one
-    Cholesky; see `MstarReference`).
+    Cholesky, shared through the objective's memo with the exact steps at
+    the same curvature key; see `MstarReference`).
 
     The reference gradient tolerance is 1e-13 scaled by max(1, ||grad F(x0)||).
     """
@@ -94,7 +98,8 @@ def compute_mstar_reference(obj: FiniteSumObjective, x0: np.ndarray) -> MstarRef
             f"||grad|| = {trace.grad_norms[-1]:.3e} (tol {tol:.3e})"
         )
     x_star = trace.x_final
-    return MstarReference(x_star, obj.full_hessian(x_star))
+    H = exact_hessian(obj, x_star)
+    return MstarReference(x_star, H.matrix, H.factor)
 
 
 def mstar_norm(ref: MstarReference, v: np.ndarray) -> float:

@@ -7,7 +7,8 @@ it was built on), and objectives are safe to evaluate concurrently.  Behind
 them sits a bounded, thread-safe `CurvatureMemo`: the curvature arrays that
 the runs of one experiment share (a Hessian, its factor and the factor's
 decompositions) are keyed by the objective's `curvature_key` at x, computed
-once while they stay in it, and handed out read-only.
+once while they stay in it, and handed out read-only.  The SVM keeps the
+gradient and support set of each x there too, keyed by the bytes of x.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ _RANK_TOL = 1e-12  # on the smallest singular value, so _RANK_TOL**2 on sigma
 # both its rounding floor (d * eps * lambda_max) and _RANK_TOL**2 this many times
 _GRAM_MARGIN = 1e4
 _SYNTH_NOISE_STD = 1e-3
+# entries the finiteness check of a dataset looks at in one pass
+_FINITE_BLOCK = 1 << 16
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """`np.isfinite(a).all()` a block of rows at a time, so the check's
+    mask is one block of `_FINITE_BLOCK` entries, not an n x d array."""
+    rows = max(1, _FINITE_BLOCK // (a.size // a.shape[0]))
+    return all(np.isfinite(a[i : i + rows]).all() for i in range(0, a.shape[0], rows))
 
 
 @dataclass
@@ -54,7 +64,7 @@ class DatasetMatrix:
             raise ShapeError(
                 f"{self.labels.shape[0]} labels for {self.rows.shape[0]} rows"
             )
-        if not np.isfinite(self.rows).all() or not np.isfinite(self.labels).all():
+        if not _all_finite(self.rows) or not _all_finite(self.labels):
             raise DomainError("dataset contains NaN or Inf entries")
 
     @property
@@ -81,13 +91,14 @@ class CurvatureMemo:
     """Least-recently-used store of the curvature arrays one objective hands
     out, shared by every thread that evaluates it.
 
-    Entries are keyed by a kind and a key.  A value is computed outside the
-    lock by the first thread that asks for it; a thread that asks while it
-    is being computed waits for that result instead of computing it again.
-    Values are handed out read-only rather than copied.  The bytes held are
-    bounded by the objective's own data matrix: an entry counts the bytes
-    of its value; an entry larger than `data.nbytes` is not kept, and the
-    least recently used entries go once the total exceeds it.
+    Entries are keyed by a kind and a key.  A value is an array or a tuple
+    of arrays, computed outside the lock by the first thread that asks for
+    it; a thread that asks while it is being computed waits for that result
+    instead of computing it again.  Values are handed out read-only rather
+    than copied.  The bytes held are bounded by the objective's own data
+    matrix: an entry counts the bytes of its arrays; an entry larger than
+    `data.nbytes` is not kept, and the least recently used entries go once
+    the total exceeds it.
     """
 
     def __init__(self, data: np.ndarray):
@@ -99,7 +110,7 @@ class CurvatureMemo:
         self._misses: defaultdict[str, int] = defaultdict(int)
 
     def get(self, kind: str, key, compute):
-        """The array stored under (kind, key), else `compute()`, stored."""
+        """The value stored under (kind, key), else `compute()`, stored."""
         slot = (kind, key)
         with self._lock:
             entry = self._entries.get(slot)
@@ -120,8 +131,10 @@ class CurvatureMemo:
                     del self._entries[slot]
             entry.future.set_exception(exc)
             raise
-        value.flags.writeable = False
-        nbytes = value.nbytes
+        arrays = value if isinstance(value, tuple) else (value,)
+        for array in arrays:
+            array.flags.writeable = False
+        nbytes = sum(array.nbytes for array in arrays)
         with self._lock:
             # unless evicted while it was being computed
             if self._entries.get(slot) is entry:
@@ -304,10 +317,8 @@ class LeastSquaresObjective(FiniteSumObjective):
 
 
 class _SvmPoint(NamedTuple):
-    x_key: bytes  # the bytes of x
-    margins: np.ndarray
-    support: np.ndarray
-    support_key: bytes  # packed membership bits of the support set
+    gradient: np.ndarray
+    support_bits: np.ndarray  # packed membership bits of the support set
 
 
 class SvmHinge2Objective(FiniteSumObjective):
@@ -322,12 +333,16 @@ class SvmHinge2Objective(FiniteSumObjective):
     quantities cover the loss part only, and subsampling draws from the
     support-vector set.
 
-    Everything at one x rests on one n x d pass for the margins: each
-    thread keeps the margins and support set of the last x it evaluated, so
-    the gradient, sample pool, sampled root and Hessian at that x share it.
-    The Hessian, its factor and the factor's decompositions depend on the
-    support set alone, and are memoized under it (its membership bits, the
-    curvature key), so runs that revisit a set reuse them.
+    Everything a run reads at one x rests on one n x d pass for the
+    margins, made once per distinct x for every run and thread: the memo
+    keeps the gradient and the support set's membership bits under the
+    bytes of x, and the sample pool, sampled root and Hessian at x are
+    derived from them.  The n margins are not kept: at 64 times the
+    bytes of the bits, one array per x would evict the Hessians.  `value`
+    and `min_kink_distance` recompute them.  The Hessian, its factor and the
+    factor's decompositions depend on the support set alone, and are
+    memoized under it (its membership bits, the curvature key), so runs
+    that revisit a set reuse them.
     """
 
     def __init__(self, data: DatasetMatrix, C: float = 1.0):
@@ -345,46 +360,53 @@ class SvmHinge2Objective(FiniteSumObjective):
         self.K = float(1.0 + self.C * row_sq.max())
         self.name = data.name or "svm-hinge2"
         self.memo = CurvatureMemo(self._A)
-        self._last = threading.local()
         # every row is a support vector at 0, so the Hessian there bounds the
         # Hessian at every x; it stays in the memo for the first steps at 0
         self.L = float(np.linalg.eigvalsh(self.full_hessian(np.zeros(self.d)))[-1])
 
+    def _margins(self, x) -> np.ndarray:
+        return self._b * (self._A @ x)
+
     def _at(self, x) -> _SvmPoint:
-        """Margins and support set at x, from this thread's last x if it is
-        the same one."""
+        """The gradient and support set at x, from the memo when another
+        call has evaluated this x."""
         x = self._check_x(x)
-        key = x.tobytes()
-        point = getattr(self._last, "point", None)
-        if point is None or point.x_key != key:
-            margins = self._b * (self._A @ x)
-            below = margins < 1.0
-            support = np.flatnonzero(below)
-            support.flags.writeable = False
-            point = _SvmPoint(key, margins, support, np.packbits(below).tobytes())
-            self._last.point = point
-        return point
+
+        def compute():
+            margins = self._margins(x)
+            slack = np.maximum(0.0, 1.0 - margins)
+            gradient = x - (self.C / self.n) * (self._A.T @ (self._b * slack))
+            return _SvmPoint(gradient, np.packbits(margins < 1.0))
+
+        return self.memo.get("point", x.tobytes(), compute)
 
     def min_kink_distance(self, x) -> float:
         """Smallest |1 - margin_i|; zero means x sits on a hinge kink."""
-        return float(np.abs(1.0 - self._at(x).margins).min())
+        return float(np.abs(1.0 - self._margins(self._check_x(x))).min())
 
     def value(self, x):
         x = self._check_x(x)
-        slack = np.maximum(0.0, 1.0 - self._at(x).margins)
+        slack = np.maximum(0.0, 1.0 - self._margins(x))
         return 0.5 * float(x @ x) + self.C / (2 * self.n) * float(slack @ slack)
 
     def gradient(self, x):
-        x = self._check_x(x)
-        slack = np.maximum(0.0, 1.0 - self._at(x).margins)
-        return x - (self.C / self.n) * (self._A.T @ (self._b * slack))
+        return self._at(x).gradient
+
+    def _support(self, point: _SvmPoint) -> np.ndarray:
+        bits = np.unpackbits(point.support_bits, count=self.n).view(bool)
+        support = np.flatnonzero(bits)
+        support.flags.writeable = False
+        return support
+
+    def _support_size(self, point: _SvmPoint) -> int:
+        return int(np.bitwise_count(point.support_bits).sum())
 
     def _support_rows(self, point: _SvmPoint) -> np.ndarray:
         """The rows of A in the support set: A itself, not a copy, when
         every row is in it."""
-        if point.support.shape[0] == self.n:
+        if self._support_size(point) == self.n:
             return self._A
-        return self._A[point.support]
+        return self._A[self._support(point)]
 
     def full_hessian(self, x):
         point = self._at(x)
@@ -393,7 +415,7 @@ class SvmHinge2Objective(FiniteSumObjective):
             sv = self._support_rows(point)
             return np.eye(self.d) + (self.C / self.n) * (sv.T @ sv)
 
-        return self.memo.get("full_hessian", point.support_key, compute)
+        return self.memo.get("full_hessian", point.support_bits.tobytes(), compute)
 
     def _factor(self, x):
         sv = self._support_rows(self._at(x))
@@ -404,16 +426,16 @@ class SvmHinge2Objective(FiniteSumObjective):
         return self.memo.get("hessian_factor", key, lambda: self._factor(x))
 
     def curvature_key(self, x):
-        return self._at(x).support_key
+        return self._at(x).support_bits.tobytes()
 
     regularizer_scale = 1.0  # the ridge term 0.5 * ||x||^2
 
     def hessian_sample_pool(self, x):
         """Indices of the support vectors at x (margin strictly below 1)."""
-        return self._at(x).support
+        return self._support(self._at(x))
 
     def hessian_term_root(self, indices, x):
-        n_sv = self._at(x).support.shape[0]
+        n_sv = self._support_size(self._at(x))
         return np.sqrt(self.C * n_sv / self.n) * self._A[indices]
 
 

@@ -15,7 +15,8 @@ The reference methods are configurations of the same loop: the default
 step 1/L is the surrogate `H = L I` (`hessian_method="gradient_descent"`).
 
 Randomness is drawn from per-iteration child seeds of the run seed, so a
-run is bit-reproducible and iterations are independent.
+run is bit-reproducible and iterations are independent; only the
+`RANDOMIZED_METHODS` draw any.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .hessian_approx import (
     SUBSAMPLED,
     ApproxHessian,
     DenseHessian,
+    exact_hessian,
     gradient_descent_hessian,
     newsamp_hessian,
     sketched_hessian,
@@ -79,6 +81,9 @@ METHOD_SETTINGS = {
     GRADIENT_DESCENT: (),
 }
 SURROGATE_SETTINGS = frozenset().union(*METHOD_SETTINGS.values())
+# the methods whose surrogates draw random numbers from the run seed; a run
+# of any other method is the same at every seed
+RANDOMIZED_METHODS = frozenset({SKETCHED, SUBSAMPLED, NEWSAMP})
 # the setting a method cannot run without
 _REQUIRED = {SKETCHED: "sketch_kind", NEWSAMP: "rank"}
 # the number classes a field annotated `int` or `float` must belong to
@@ -315,12 +320,12 @@ def solve_inner(
 
 
 def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
-    seed_t = rng.child_seed(cfg.seed, 1, t)
     method = cfg.hessian_method
-    if method == EXACT:
-        return DenseHessian(obj.full_hessian(x))
-    if method == GRADIENT_DESCENT:
+    if method not in RANDOMIZED_METHODS:
+        if method == EXACT:
+            return exact_hessian(obj, x)
         return gradient_descent_hessian(obj)
+    seed_t = rng.child_seed(cfg.seed, 1, t)
     if method == SKETCHED:
         size = cfg.sketch_size
         if size is None:

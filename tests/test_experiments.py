@@ -237,8 +237,11 @@ class TestRunExperiment:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
+        # a seeded cell, so that each of the 8 seeds is a run of its own
         cfg = tiny_config(tmp_path, seeds=range(8))
-        cfg.grid, cfg.workers = [{"label": "newton", "method": "exact"}], workers
+        cfg.grid = [{"label": "reg20", "method": "regularized_subsampled",
+                     "sample_size": 20, "alpha": 0.05}]
+        cfg.workers = workers
         assert run_experiment(cfg) == 0
         assert f"workers: {expected}" in read(tmp_path / "metadata.txt").splitlines()
 
@@ -276,13 +279,60 @@ class TestRunExperiment:
         assert len(outputs[0]) == 1 + 2 * len(grid)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_seed_free_cells_run_once_and_write_every_seed(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "grid", seeds=(0, 1, 2))
+        cfg.problem = {"kind": "two_class", "n": 300, "d": 6, "seed": 4,
+                       "separation": 3.0, "C": 20.0}
+        cfg.grid = [{"label": "newton", "method": "exact"},
+                    {"label": "newton-cg", "method": "newton_cg", "eps1": 0.1},
+                    {"label": "sub", "method": "subsampled", "sample_fraction": 0.2}]
+        cfg.max_iters, cfg.workers = 40, None
+        # one BLAS thread on 8 cores: the pool is sized by the 5 distinct runs
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        runs = []
+        run = solvers.approximate_newton_run
+        monkeypatch.setattr(
+            solvers, "approximate_newton_run",
+            lambda obj, scfg, x0: runs.append(scfg) or run(obj, scfg, x0))
+        assert run_experiment(cfg) == 0
+        # the reference runs through metrics' own name and is not counted
+        assert sorted((c.hessian_method, c.inner, c.seed) for c in runs) == [
+            ("exact", "cg", 0), ("exact", "exact", 0),
+            ("subsampled", "exact", 0), ("subsampled", "exact", 1),
+            ("subsampled", "exact", 2)]
+        # the tables equal those of every cell run at every seed
+        obj = build_objective(cfg.problem)
+        ref = metrics.compute_mstar_reference(obj, np.zeros(obj.d))
+        outcomes = [experiments.run_cell(obj, ref, cell, cfg, seed)
+                    for cell in cfg.grid for seed in cfg.seeds]
+        expected = tmp_path / "per_seed"
+        expected.mkdir()
+        for name, (columns, rows) in experiments._grid_tables(cfg, outcomes).items():
+            if not name.startswith("timing_"):
+                experiments._write_csv(str(expected / name), columns, rows)
+        written = sorted(n for n in os.listdir(cfg.output_dir) if n.endswith(".csv")
+                         and not n.startswith("timing_"))
+        assert written == sorted(os.listdir(expected))
+        for name in written:
+            assert read(tmp_path / "grid" / name) == read(expected / name), name
+        metadata = read(tmp_path / "grid" / "metadata.txt").splitlines()
+        assert "workers: 5" in metadata
+        for label in ("newton", "newton-cg"):
+            for seed in (1, 2):
+                assert f"run {label}_s{seed}: same run as {label}_s0" in metadata
+        assert sum(line.startswith("run sub_s") and "total_wall_ms=" in line
+                   for line in metadata) == 3
+
     def test_metadata_records_memo_reuse(self, tmp_path):
         cfg = tiny_config(tmp_path)
         cfg.grid = [{"label": "lev", "method": "sketched",
                      "sketch_kind": "leverage_score", "sketch_size": 20}]
         assert run_experiment(cfg) == 0
         memo = [line for line in read(tmp_path / "metadata.txt").splitlines()
-                if line.startswith("memo ")]
+                if line.startswith("memo leverage_scores: ")]
         assert len(memo) == 1
         kind, counts = memo[0].split(": ")
         hits, misses, held = (int(part.split("=")[1]) for part in counts.split())

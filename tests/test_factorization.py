@@ -19,8 +19,15 @@ from approxnewton import (
     SolverConfig,
     approximate_newton_run,
     compute_mstar_reference,
+    hessian_approx,
 )
-from approxnewton.hessian_approx import DenseHessian, FlooredSpectrum, RootPlusShift
+from approxnewton.experiments import build_objective
+from approxnewton.hessian_approx import (
+    DenseHessian,
+    FlooredSpectrum,
+    RootPlusShift,
+    exact_hessian,
+)
 
 
 @pytest.fixture
@@ -102,3 +109,28 @@ def test_solves_match_cho_solve_bit_for_bit(d):
         p = H.solve(g)
         inner = scipy.linalg.cho_solve((H._factor, False), R @ g)
         assert np.array_equal(p, (g - R.T @ inner) / 0.3)
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [{"kind": "spiked", "n": 80, "d": 50, "seed": 11},
+     {"kind": "two_class", "n": 300, "d": 6, "seed": 4, "separation": 3.0, "C": 20.0}],
+    ids=["least_squares", "svm"],
+)
+def test_exact_steps_and_reference_factor_each_hessian_once(monkeypatch, problem):
+    factored = []
+    cholesky = hessian_approx._cholesky
+    monkeypatch.setattr(hessian_approx, "_cholesky",
+                        lambda M: factored.append(M) or cholesky(M))
+    obj = build_objective(problem)
+    ref = compute_mstar_reference(obj, np.zeros(obj.d))
+    # the reference's last exact step and x* share a curvature key, so M*
+    # is the factor that step made
+    assert exact_hessian(obj, ref.x_star).factor is ref.factor
+    assert len({id(M) for M in factored}) == len(factored)
+    if problem["kind"] == "spiked":  # a constant Hessian
+        assert len(factored) == 1
+    before = len(factored)
+    trace = approximate_newton_run(obj, SolverConfig(grad_tol=1e-10), np.zeros(obj.d))
+    assert trace.status == "converged" and trace.n_steps >= 1
+    assert len(factored) == before  # the cell retraces the reference's path

@@ -1,5 +1,7 @@
 import os
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -23,10 +25,11 @@ from approxnewton import (
     synthetic_spectrum_matrix,
     synthetic_two_class,
 )
-from approxnewton import rng
+from approxnewton import approximate_newton_run, problems, rng
 from approxnewton.experiments import build_objective, default_config
 from approxnewton.metrics import compute_mstar_reference
-from approxnewton.problems import CurvatureMemo
+from approxnewton.problems import CurvatureMemo, SvmHinge2Objective
+from approxnewton.solvers import SolverConfig
 
 from conftest import fd_gradient, fd_hessian_vector, per_sample_hessian
 
@@ -224,6 +227,117 @@ class TestSvmHinge2:
         B = svm_tiny.hessian_factor(x)
         H = svm_tiny.full_hessian(x)
         assert np.linalg.norm(B.T @ B - H) <= 1e-10 * np.linalg.norm(H)
+
+
+class TestSvmPointMemo:
+    """One n x d margin pass per distinct x, for every run and thread on the
+    objective; the memo changes no bit of what the runs compute."""
+
+    DATA = synthetic_two_class(400, 8, seed=20, separation=3.0)
+    CONFIGS = (
+        SolverConfig(grad_tol=1e-10),
+        SolverConfig(inner="cg", eps1=0.1, grad_tol=1e-10),
+        SolverConfig(hessian_method="subsampled", sample_fraction=0.2,
+                     max_iters=30, grad_tol=1e-10, seed=0),
+        SolverConfig(hessian_method="subsampled", sample_fraction=0.2,
+                     max_iters=30, grad_tol=1e-10, seed=1),
+    )
+
+    @staticmethod
+    def count_margin_passes(monkeypatch, delay=0.0):
+        passes = []
+        margins = SvmHinge2Objective._margins
+
+        def counted(obj, x):
+            passes.append(x.tobytes())
+            time.sleep(delay)
+            return margins(obj, x)
+
+        monkeypatch.setattr(SvmHinge2Objective, "_margins", counted)
+        return passes
+
+    @staticmethod
+    def iterates(obj, cfg):
+        xs = []
+        trace = approximate_newton_run(obj, cfg, np.zeros(obj.d),
+                                       on_step=lambda step: xs.append(step.x))
+        return xs + [trace.x_final], trace
+
+    def test_runs_from_zero_make_one_margin_pass_per_distinct_x(self, monkeypatch):
+        passes = self.count_margin_passes(monkeypatch)
+        obj = svm_hinge2_objective(self.DATA, C=50.0)
+        visited = {np.zeros(obj.d).tobytes()}  # the bound L is taken at 0
+        for cfg in self.CONFIGS[:1] + self.CONFIGS:  # exact Newton twice
+            xs, trace = self.iterates(obj, cfg)
+            assert trace.n_steps > 1
+            visited.update(x.tobytes() for x in xs)
+        assert sorted(passes) == sorted(visited)
+
+    def test_threads_asking_at_one_x_make_one_margin_pass(self, monkeypatch):
+        obj = svm_hinge2_objective(self.DATA, C=50.0)
+        passes = self.count_margin_passes(monkeypatch, delay=0.05)
+        x = np.full(obj.d, 0.1)
+        start = threading.Barrier(4)
+
+        def ask(_):
+            start.wait(10)
+            return obj.gradient(x)
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            grads = list(pool.map(ask, range(4), timeout=30))
+        assert passes == [x.tobytes()]
+        assert all(g is grads[0] for g in grads)
+        assert obj.memo.stats()["point"][:2] == (3, 1 + 1)  # and x = 0 at build
+
+    def test_stress_one_pass_per_x_and_values_of_that_x(self, monkeypatch):
+        # more threads than cores, switching every microsecond, each asking
+        # for the same points in its own order: a point computed twice, or
+        # a value handed out under another point's key, shows
+        obj = svm_hinge2_objective(self.DATA, C=50.0)
+        fresh = svm_hinge2_objective(self.DATA, C=50.0)
+        gen = np.random.Generator(np.random.Philox(key=5))
+        xs = [scale * gen.standard_normal(obj.d) for scale in (0.1, 0.3, 1.0) * 4]
+        want = [(fresh.gradient(x), fresh.hessian_sample_pool(x), fresh.full_hessian(x))
+                for x in xs]
+        passes = self.count_margin_passes(monkeypatch)
+
+        def work(seed):
+            walk = np.random.Generator(np.random.Philox(key=seed))
+            for k in walk.integers(0, len(xs), size=200):
+                grad, pool, hessian = want[k]
+                assert np.array_equal(obj.gradient(xs[k]), grad)
+                assert np.array_equal(obj.hessian_sample_pool(xs[k]), pool)
+                assert np.array_equal(obj.full_hessian(xs[k]), hessian)
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, seed) for seed in range(8)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(passes) == sorted(x.tobytes() for x in xs)
+
+    def test_iterates_equal_a_fresh_objective_bit_for_bit(self):
+        warm = svm_hinge2_objective(self.DATA, C=50.0)
+        for cfg in self.CONFIGS:
+            got, got_trace = self.iterates(warm, cfg)
+            fresh = svm_hinge2_objective(self.DATA, C=50.0)
+            want, want_trace = self.iterates(fresh, cfg)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+            assert got_trace.grad_norms == want_trace.grad_norms
+
+    def test_gradient_is_the_formula_at_x(self):
+        obj = svm_hinge2_objective(self.DATA, C=50.0)
+        x = np.random.Generator(np.random.Philox(key=3)).standard_normal(obj.d)
+        A, b = self.DATA.rows, self.DATA.labels
+        slack = np.maximum(0.0, 1.0 - b * (A @ x))
+        want = x - (50.0 / obj.n) * (A.T @ (b * slack))
+        for _ in range(2):  # a miss, then a hit
+            assert obj.gradient(x).tobytes() == want.tobytes()
+        assert np.array_equal(obj.hessian_sample_pool(x), np.flatnonzero(slack > 0))
 
 
 class TestCurvatureBounds:
@@ -453,6 +567,28 @@ class TestLibsvmReader:
     def test_dataset_invariants_reject_nan(self):
         with pytest.raises(DomainError):
             DatasetMatrix(np.array([[np.nan]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("where", ["first_row", "last_row", "last_label"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_in_any_block(self, where, bad):
+        rows, labels = np.ones((20000, 50)), np.ones(20000)
+        if where == "last_label":
+            labels[-1] = bad
+        else:
+            rows[0 if where == "first_row" else -1, 7] = bad
+        with pytest.raises(DomainError):
+            DatasetMatrix(rows, labels)
+
+    def test_finiteness_check_allocates_one_block(self):
+        rows, labels = np.ones((20000, 50)), np.ones(20000)
+        tracemalloc.start()
+        try:
+            DatasetMatrix(rows, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a boolean mask of one block, against 1 MB for the whole matrix
+        assert peak <= problems._FINITE_BLOCK + 4096
 
 
 _DATASET_DIR = os.environ.get("APPROXNEWTON_DATASETS", "")

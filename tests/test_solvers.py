@@ -24,6 +24,7 @@ from approxnewton.solvers import (
     DIVERGED,
     DIVERGENCE_GUARD,
     METHOD_SETTINGS,
+    RANDOMIZED_METHODS,
     SCHEDULE_LOG_DECAY,
     SURROGATE_SETTINGS,
     SolverConfig,
@@ -214,6 +215,28 @@ class TestNewtonDriver:
         cfg = SolverConfig(hessian_method="exact", max_iters=5, grad_tol=1e-9)
         trace = approximate_newton_run(ls_tiny, cfg, np.ones(4))
         assert len(trace.gradients) == len(trace.grad_norms)
+
+
+    @pytest.mark.parametrize("method, settings", [
+        ("exact", {}),
+        ("gradient_descent", {}),
+        ("sketched", {"sketch_kind": "gaussian", "sketch_size": 40}),
+        ("subsampled", {"sample_size": 30}),
+        ("newsamp", {"sample_size": 30, "rank": 2}),
+    ])
+    def test_step_seed_derived_only_where_the_method_draws(
+        self, ls_tiny, monkeypatch, method, settings
+    ):
+        derived = []
+        child_seed = rng.child_seed
+        monkeypatch.setattr(rng, "child_seed",
+                            lambda *tags: derived.append(tags) or child_seed(*tags))
+        cfg = SolverConfig(hessian_method=method, max_iters=3, grad_tol=1e-300,
+                           seed=5, **settings)
+        trace = approximate_newton_run(ls_tiny, cfg, np.zeros(ls_tiny.d))
+        draws = method in RANDOMIZED_METHODS
+        assert trace.n_steps >= 1
+        assert derived == [(5, 1, t) for t in range(trace.n_steps)] * draws
 
 
 class TestSolverConfig:
