@@ -25,7 +25,10 @@ from .errors import ApproxNewtonError, DomainError
 from .problems import synthetic_spectrum_matrix
 
 
-def _default_out() -> str:
+def _output_dir(out: str | None) -> str:
+    """`--out` when given, an empty one too, else the default."""
+    if out is not None:
+        return out
     return os.environ.get(experiments.OUTPUT_ENV_VAR, "approxnewton-out")
 
 
@@ -43,7 +46,7 @@ def _cmd_run(args) -> int:
             cfg = experiments.load_config(args.config, overrides)
         elif args.experiment:
             cfg = experiments.default_config(
-                args.experiment, args.out or _default_out(), bool(args.full_scale)
+                args.experiment, _output_dir(args.out), bool(args.full_scale)
             )
             # --seed and --workers, checked by replace() as a config file's are
             given = {k: overrides[k] for k in ("seeds", "workers")}
@@ -84,7 +87,7 @@ def _cmd_verify_embedding(args) -> int:
                      "eps": args.eps, "seed": args.problem_seed},
             grid=[{"sketch_kind": kind} for kind in args.kinds],
             seeds=list(range(args.seeds)),
-            output_dir=args.out or _default_out(),
+            output_dir=_output_dir(args.out),
         )
         code = experiments.run_experiment(cfg)
     except ApproxNewtonError as exc:

@@ -117,6 +117,10 @@ class ExperimentConfig:
                 raise DomainError(f"grid cell {cell!r} is not a mapping")
         if not isinstance(self.seeds, list):
             raise DomainError(f"seeds must be a list of integers, got {self.seeds!r}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise DomainError(
+                f"output_dir must be a non-empty string, got {self.output_dir!r}"
+            )
         if not self.grid:
             raise DomainError("grid must not be empty")
         if not self.seeds:

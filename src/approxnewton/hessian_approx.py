@@ -210,13 +210,16 @@ def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:
     return _root_plus_shift(SB, 1, 0.0, meta)
 
 
-def _sampled_root(obj, x, size: int, seed: int):
+def _sampled_root(obj, x, size: int | None, seed: int, fraction: float | None):
     """Root R, divisor k and shift c of the subsampled Hessian R^T R / k + c I,
-    with its metadata."""
+    with its metadata.  A `fraction`, when given, sets the size to
+    max(1, ceil(fraction * pool size)) for the pool at x."""
+    pool = obj.hessian_sample_pool(x)
+    if fraction is not None:
+        size = max(1, int(math.ceil(fraction * pool.size)))
     if size < 1:
         raise ShapeError(f"sample size must be >= 1, got {size}")
     c = float(obj.regularizer_scale)
-    pool = obj.hessian_sample_pool(x)
     if pool.size == 0:
         idx = pool
     else:
@@ -232,12 +235,14 @@ def _sampled_root(obj, x, size: int, seed: int):
 def subsampled_hessian(
     obj: FiniteSumObjective,
     x: np.ndarray,
-    size: int,
+    size: int | None,
     seed: int,
     alpha: float = 0.0,
+    fraction: float | None = None,
 ) -> ApproxHessian:
     """Mean of `size` per-sample loss Hessians (uniform, with replacement)
     plus the objective's split-out regularizer Hessian `regularizer_scale * I`.
+    A `fraction` in place of `size` draws that share of the pool at x.
 
     A positive `alpha` adds `alpha * I` on top, which guarantees
     lambda_min >= alpha: the regularized subsampled Hessian.
@@ -245,13 +250,14 @@ def subsampled_hessian(
     if not alpha >= 0:
         raise DomainError(f"alpha must be >= 0, got {alpha}")
     x = np.asarray(x, dtype=float)
-    R, k, c, meta = _sampled_root(obj, x, size, seed)
+    R, k, c, meta = _sampled_root(obj, x, size, seed, fraction)
     meta["alpha"] = float(alpha)
     return _root_plus_shift(R, k, c + alpha, meta)
 
 
 def newsamp_hessian(
-    obj: FiniteSumObjective, x: np.ndarray, size: int, r: int, seed: int
+    obj: FiniteSumObjective, x: np.ndarray, size: int | None, r: int, seed: int,
+    fraction: float | None = None,
 ) -> ApproxHessian:
     """Subsampled Hessian with its eigenvalue tail floored.
 
@@ -262,12 +268,13 @@ def newsamp_hessian(
     eigenvectors to directions; a kept pair of rounding-level eigenvalue
     has no direction and is dropped, as its eigenvalue is the floor.  The
     rows bound the rank: r must be below both d and the number of rows, or
-    the floor would be the bare regularizer.
+    the floor would be the bare regularizer.  `size` and `fraction` are as
+    in `subsampled_hessian`.
     """
     if not 0 <= r < obj.d:
         raise DomainError(f"need 0 <= r < d={obj.d}, got r={r}")
     x = np.asarray(x, dtype=float)
-    R, k, c, meta = _sampled_root(obj, x, size, seed)
+    R, k, c, meta = _sampled_root(obj, x, size, seed, fraction)
     if r >= R.shape[0]:
         raise DomainError(
             f"rank r={r} needs a sampled root of more than r rows, got {R.shape[0]}"

@@ -5,9 +5,9 @@ per-sample derivatives, so that uniform subsampling of the f_i is unbiased.
 Every value an objective returns is a pure function of x (and of the data
 it was built on), and objectives are safe to evaluate concurrently.  Behind
 them sits a bounded, thread-safe `CurvatureMemo`: the curvature arrays that
-the runs of one experiment share (a Hessian, its factor and the factor's
-decompositions) are keyed by the objective's `curvature_key` at x, computed
-once while they stay in it, and handed out read-only.  The SVM keeps the
+the runs of one experiment share (a Hessian, its Cholesky and B factors and
+B's leverage scores) are keyed by the objective's `curvature_key` at x,
+computed once while they stay in it, and handed out read-only.  The SVM keeps the
 gradient and support set of each x there too, keyed by the bytes of x.
 """
 
@@ -207,28 +207,13 @@ class FiniteSumObjective:
         once per curvature key while the memo holds it.  A leverage step
         samples the rows of that factor too, so the scores are taken from
         the memoized `hessian_factor`."""
-        return self._decomposition("leverage_scores", x, self.hessian_factor)
 
-    def triangular_factor(self, x: np.ndarray) -> np.ndarray:
-        """`sketch.triangular_factor` of the Hessian factor at x, memoized
-        like `leverage_scores`.  A Gaussian step reads only this, so the
-        factor is built for it and not stored: kept, it would evict the
-        small triangular factors to make room for itself."""
-        return self._decomposition("triangular_factor", x, self._factor)
-
-    def _factor(self, x: np.ndarray) -> np.ndarray:
-        """The Hessian factor at x, built without the memo."""
-        return self.hessian_factor(x)
-
-    def _decomposition(self, kind: str, x: np.ndarray, factor) -> np.ndarray:
-        # `kind` names the `sketch` function; it is looked up at call time,
-        # so a wrapper installed on the module (a tracer, a test) sees it
         def compute():
-            return getattr(sketch, kind)(factor(x))
+            return sketch.leverage_scores(self.hessian_factor(x))
 
         if self.memo is None:
             return compute()
-        return self.memo.get(kind, self.curvature_key(x), compute)
+        return self.memo.get("leverage_scores", self.curvature_key(x), compute)
 
     # -- split-out regularizer ----------------------------------------------
     regularizer_scale: float = 0.0  # the regularizer Hessian is this times I
@@ -339,9 +324,9 @@ class SvmHinge2Objective(FiniteSumObjective):
     bytes of x, and the sample pool, sampled root and Hessian at x are
     derived from them.  The n margins are not kept: at 64 times the
     bytes of the bits, one array per x would evict the Hessians.  `value`
-    and `min_kink_distance` recompute them.  The Hessian, its factor and the
-    factor's decompositions depend on the support set alone, and are
-    memoized under it (its membership bits, the curvature key), so runs
+    and `min_kink_distance` recompute them.  The Hessian, its Cholesky and
+    B factors and B's leverage scores depend on the support set alone, and
+    are memoized under it (its membership bits, the curvature key), so runs
     that revisit a set reuse them.
     """
 
@@ -417,13 +402,12 @@ class SvmHinge2Objective(FiniteSumObjective):
 
         return self.memo.get("full_hessian", point.support_bits.tobytes(), compute)
 
-    def _factor(self, x):
-        sv = self._support_rows(self._at(x))
-        return np.vstack([np.sqrt(self.C / self.n) * sv, np.eye(self.d)])
-
     def hessian_factor(self, x):
-        key = self.curvature_key(x)
-        return self.memo.get("hessian_factor", key, lambda: self._factor(x))
+        def compute():
+            sv = self._support_rows(self._at(x))
+            return np.vstack([np.sqrt(self.C / self.n) * sv, np.eye(self.d)])
+
+        return self.memo.get("hessian_factor", self.curvature_key(x), compute)
 
     def curvature_key(self, x):
         return self._at(x).support_bits.tobytes()

@@ -130,11 +130,6 @@ def leverage_scores(A: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", U, U) / A.shape[1]
 
 
-def triangular_factor(B: np.ndarray) -> np.ndarray:
-    """R of a QR decomposition of B: min(m, d) x d, with R^T R = B^T B."""
-    return np.linalg.qr(np.asarray(B, dtype=float), mode="r")
-
-
 def make_leverage_sketch(
     A: np.ndarray, s: int, seed: int, scores: np.ndarray | None = None
 ) -> SketchOperator:

@@ -337,11 +337,13 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
                 )
             else:
                 size = recommended_sketch_size(cfg.sketch_kind, obj.d, cfg.eps0)
-        # the objective's memo decomposes the factor once per curvature key;
-        # B = Q R and S Q is again i.i.d. N(0, 1/s) (rotation invariance), so
-        # a Gaussian S R has the law of S B and (S R)^T S R that of (S B)^T S B
+        # a Gaussian sketch acts on the Hessian's Cholesky factor U, which the
+        # memo keeps per curvature key for the exact steps and the M*
+        # reference: U^T U = B^T B, so B U^-1 has orthonormal columns, S B U^-1
+        # is again i.i.d. N(0, 1/s) (rotation invariance) and S U has the law
+        # of S B
         if cfg.sketch_kind == GAUSSIAN:
-            B = obj.triangular_factor(x)
+            B = exact_hessian(obj, x).factor
         else:
             B = obj.hessian_factor(x)
         if cfg.sketch_kind == LEVERAGE_SCORE:
@@ -349,13 +351,10 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
         else:
             S = make_oblivious_sketch(cfg.sketch_kind, size, B.shape[0], seed_t)
         return sketched_hessian(B, S)
-    size = cfg.sample_size
-    if size is None:
-        pool_size = obj.hessian_sample_pool(x).size
-        size = max(1, int(math.ceil(cfg.sample_fraction * pool_size)))
+    size, fraction = cfg.sample_size, cfg.sample_fraction
     if method == NEWSAMP:
-        return newsamp_hessian(obj, x, size, cfg.rank, seed_t)
-    return subsampled_hessian(obj, x, size, seed_t, alpha=cfg.alpha)
+        return newsamp_hessian(obj, x, size, cfg.rank, seed_t, fraction=fraction)
+    return subsampled_hessian(obj, x, size, seed_t, cfg.alpha, fraction=fraction)
 
 
 def approximate_newton_run(

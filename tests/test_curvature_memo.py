@@ -4,8 +4,8 @@ A warm objective, one that has already evaluated other points, must return
 what a freshly built objective returns at the same x, bit for bit, whatever
 order the points and the methods are visited in.  The arrays it hands out
 are read-only, the bytes it holds never exceed its data matrix, and the
-Hessian factor is decomposed once per curvature key for every run on the
-objective.
+Hessian and its factor are decomposed once per curvature key for every run
+on the objective.
 """
 
 import sys
@@ -20,11 +20,13 @@ from hypothesis import strategies as st
 
 from approxnewton import (
     approximate_newton_run,
+    compute_mstar_reference,
     least_squares_objective,
-    sketch,
+    solvers,
     svm_hinge2_objective,
     synthetic_two_class,
 )
+from approxnewton.hessian_approx import exact_hessian
 from approxnewton.problems import CurvatureMemo, SvmHinge2Objective
 from approxnewton.solvers import SolverConfig
 
@@ -51,14 +53,14 @@ QUANTITIES = {
     "hessian_factor": lambda obj, x: obj.hessian_factor(x),
     "hessian_term_root": lambda obj, x: obj.hessian_term_root(TERM_ROWS, x),
     "leverage_scores": lambda obj, x: obj.leverage_scores(x),
-    "triangular_factor": lambda obj, x: obj.triangular_factor(x),
+    "hessian_cholesky": lambda obj, x: exact_hessian(obj, x).factor,
 }
 SVM_QUANTITIES = dict(
     QUANTITIES,
     hessian_sample_pool=lambda obj, x: obj.hessian_sample_pool(x),
 )
 READ_ONLY = ("full_hessian", "hessian_factor", "leverage_scores",
-             "triangular_factor", "hessian_sample_pool")
+             "hessian_cholesky", "hessian_sample_pool")
 
 
 @st.composite
@@ -246,77 +248,101 @@ class TestCurvatureMemo:
         assert memo.get("k", 0, lambda: np.ones(2))[0] == 1.0
 
 
-@pytest.mark.parametrize("kind, name", [("leverage_score", "leverage_scores"),
-                                        ("gaussian", "triangular_factor")])
-def test_runs_on_one_objective_decompose_the_factor_once(monkeypatch, kind, name):
+def _sketched_arrays(monkeypatch):
     seen = []
-    original = getattr(sketch, name)
-    monkeypatch.setattr(sketch, name, lambda B: seen.append(B) or original(B))
+    original = solvers.sketched_hessian
+    monkeypatch.setattr(solvers, "sketched_hessian",
+                        lambda B, S: seen.append(B) or original(B, S))
+    return seen
+
+
+def _gaussian_config(seed, max_iters):
+    return SolverConfig(hessian_method="sketched", sketch_kind="gaussian",
+                        sketch_size=40, max_iters=max_iters, grad_tol=1e-300,
+                        seed=seed)
+
+
+# each sketch kind, the memo kind of the decomposition it reads, and the
+# memoized array its steps sketch
+SKETCH_DECOMPOSITIONS = [
+    ("leverage_score", "leverage_scores", lambda obj: obj.hessian_factor(None)),
+    ("gaussian", "hessian_cholesky", lambda obj: exact_hessian(obj, None).factor),
+]
+
+
+@pytest.mark.parametrize("kind, name, memoized", SKETCH_DECOMPOSITIONS,
+                         ids=["leverage_score", "gaussian"])
+def test_runs_on_one_objective_decompose_the_factor_once(monkeypatch, kind, name,
+                                                         memoized):
+    sketched = _sketched_arrays(monkeypatch)
     obj = least_squares()
     for seed in (0, 1):
         cfg = SolverConfig(hessian_method="sketched", sketch_kind=kind,
                            sketch_size=40, max_iters=3, grad_tol=1e-300, seed=seed)
         assert approximate_newton_run(obj, cfg, np.zeros(obj.d)).n_steps == 3
-    assert len(seen) == 1 and seen[0] is obj.hessian_factor(None)
+    assert obj.memo.stats()[name][1] == 1
+    assert len(sketched) == 6 and all(B is memoized(obj) for B in sketched)
 
 
-def test_svm_factor_at_zero_decomposed_once_across_runs(monkeypatch):
+def test_svm_factor_at_zero_decomposed_once_across_runs():
     # every row is a support vector at 0, so the factor there is larger than
-    # the data matrix and not kept; its decompositions are, under the key
-    calls = {"leverage_scores": 0, "triangular_factor": 0}
-    for name in calls:
-        original = getattr(sketch, name)
-
-        def counted(B, name=name, original=original):
-            calls[name] += 1
-            return original(B)
-
-        monkeypatch.setattr(sketch, name, counted)
+    # the data matrix and not kept; the scores and the Cholesky factor are,
+    # under the key
     obj = svm()
     for kind in ("leverage_score", "gaussian"):
         for seed in range(3):
             cfg = SolverConfig(hessian_method="sketched", sketch_kind=kind,
                                sketch_size=40, max_iters=1, grad_tol=1e-300, seed=seed)
             assert approximate_newton_run(obj, cfg, np.zeros(obj.d)).n_steps == 1
-    assert calls == {"leverage_scores": 1, "triangular_factor": 1}
+    stats = obj.memo.stats()
+    assert stats["leverage_scores"][1] == stats["hessian_cholesky"][1] == 1
 
 
-def test_gaussian_sketch_builds_the_factor_only_to_decompose_it(monkeypatch):
-    # the Gaussian path sketches the triangular factor, so the Hessian factor
-    # is built on its memo misses alone, not once per step
-    built, decomposed = [], []
-    factor, triangular = SvmHinge2Objective._factor, sketch.triangular_factor
-    monkeypatch.setattr(SvmHinge2Objective, "_factor",
+def test_gaussian_sketch_never_builds_the_factor(monkeypatch):
+    # the Gaussian path sketches the Hessian's Cholesky factor, so the
+    # (n_sv + d) x d Hessian factor is never built
+    built = []
+    factor = SvmHinge2Objective.hessian_factor
+    monkeypatch.setattr(SvmHinge2Objective, "hessian_factor",
                         lambda obj, x: built.append(1) or factor(obj, x))
-    monkeypatch.setattr(sketch, "triangular_factor",
-                        lambda B: decomposed.append(1) or triangular(B))
     obj = svm()
     obj.memo = CurvatureMemo(np.zeros(10**5))  # room for every support set
-    steps = 0
-    for seed in range(3):
-        cfg = SolverConfig(hessian_method="sketched", sketch_kind="gaussian",
-                           sketch_size=40, max_iters=4, grad_tol=1e-300, seed=seed)
-        steps += approximate_newton_run(obj, cfg, np.zeros(obj.d)).n_steps
+    steps = sum(approximate_newton_run(obj, _gaussian_config(seed, 4),
+                                       np.zeros(obj.d)).n_steps
+                for seed in range(3))
     assert steps == 12
-    assert len(built) == len(decomposed) < steps
+    assert built == []
 
 
 def test_gaussian_sketch_keeps_decompositions_not_the_factor():
-    # the Gaussian path reads the Hessian factor only to decompose it, so
-    # the factor is not stored, and cannot evict the decompositions under
-    # the default bound: the later runs find the one at x = 0
+    # the Gaussian path never reads the Hessian factor, so the factor is
+    # not stored, and cannot evict the Cholesky factors under the default
+    # bound: the later runs find the one at x = 0
     obj = svm()
     for seed in range(3):
-        cfg = SolverConfig(hessian_method="sketched", sketch_kind="gaussian",
-                           sketch_size=40, max_iters=4, grad_tol=1e-300, seed=seed)
+        cfg = _gaussian_config(seed, 4)
         warm = approximate_newton_run(obj, cfg, np.zeros(obj.d))
         fresh = approximate_newton_run(svm(), cfg, np.zeros(obj.d))
         assert warm.n_steps == 4
         assert warm.grad_norms == fresh.grad_norms
         assert np.array_equal(warm.x_final, fresh.x_final)
     stats = obj.memo.stats()
-    assert stats["triangular_factor"][0] >= 2
+    assert stats["hessian_cholesky"][0] >= 2
     assert "hessian_factor" not in stats
+
+
+def test_gaussian_runs_reuse_the_reference_cholesky():
+    # the M* reference has factored the least-squares Hessian, whose one
+    # curvature key every later step shares: a Gaussian step reads that
+    # factor and decomposes nothing
+    obj = least_squares()
+    compute_mstar_reference(obj, np.zeros(obj.d))
+    hits, misses, _ = obj.memo.stats()["hessian_cholesky"]
+    steps = sum(approximate_newton_run(obj, _gaussian_config(seed, 3),
+                                       np.zeros(obj.d)).n_steps
+                for seed in range(2))
+    assert steps == 6
+    assert obj.memo.stats()["hessian_cholesky"][:2] == (hits + steps, misses)
 
 
 def test_objective_without_memo_recomputes():

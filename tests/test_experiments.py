@@ -950,6 +950,10 @@ class TestCli:
             ({"grid": "[exact]"}, "grid cell 'exact' is not a mapping"),
             ({"seeds": "0"}, "seeds must be a list of integers, got 0"),
             ({"seeds": "[0, one]"}, "seed must be an integer, got 'one'"),
+            ({"output_dir": "3"}, "output_dir must be a non-empty string, got 3"),
+            ({"output_dir": "[a, b]"},
+             "output_dir must be a non-empty string, got ['a', 'b']"),
+            ({"output_dir": "''"}, "output_dir must be a non-empty string, got ''"),
         ],
     )
     def test_misshapen_config_is_config_error_and_creates_nothing(
@@ -970,6 +974,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["config_file", "experiment"])
+    def test_empty_out_is_config_error_before_the_objective(
+        self, tmp_path, monkeypatch, capsys, source
+    ):
+        # an empty --out is a bad output_dir, not an unset one
+        built = []
+        monkeypatch.setattr(experiments, "build_objective", built.append)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("APPROXNEWTON_OUT", str(tmp_path / "default"))
+        path = tmp_path / "exp.yaml"
+        path.write_text(
+            "experiment: custom\n"
+            "problem: {kind: synthetic, n: 40, d: 4, decay: 1.5}\n"
+            "grid: [{method: exact}]\nseeds: [0]\n"
+        )
+        if source == "config_file":
+            args = ["run", str(path), "--out", ""]
+        else:
+            args = ["run", "--experiment", "lipschitz_free", "--out", ""]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: output_dir must be a non-empty string, got ''\n"
+        assert built == []
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_builtin_experiment_with_zero_workers_is_config_error(self, tmp_path,
                                                                    capsys):

@@ -103,6 +103,14 @@ class TestSubsampledHessian:
         with pytest.raises(ShapeError):
             subsampled_hessian(ls_tiny, np.zeros(4), size=0, seed=0)
 
+    def test_fraction_draws_its_share_of_the_pool(self, ls_tiny):
+        # ceil(0.1 * 30) rows, the draw of the same size given as a count
+        by_fraction = subsampled_hessian(ls_tiny, np.zeros(4), None, seed=4,
+                                         fraction=0.1)
+        by_size = subsampled_hessian(ls_tiny, np.zeros(4), 3, seed=4)
+        assert by_fraction.meta == by_size.meta
+        np.testing.assert_array_equal(by_fraction.matrix, by_size.matrix)
+
     def test_deterministic(self, ls_tiny):
         a = subsampled_hessian(ls_tiny, np.zeros(4), size=6, seed=9).matrix
         b = subsampled_hessian(ls_tiny, np.zeros(4), size=6, seed=9).matrix

@@ -1,11 +1,11 @@
-"""The sketch path's per-run decompositions of the Hessian factor.
+"""The sketch path's per-run decompositions of the Hessian.
 
-The objective computes the leverage scores and the triangular QR factor R of
-its Hessian factor B once per curvature key, and Gaussian sketches act on R
-instead of B.  These tests check that the cached scores reproduce the
-uncached sketch bit for bit, that R^T R = B^T B, that an SVM factor is
-decomposed once per support set the runs visit, and that Gaussian
-surrogates built from R and from B follow the same law.
+The objective computes the leverage scores of its Hessian factor B once per
+curvature key, and the memo keeps the upper Cholesky factor U of the Hessian
+B^T B under the same key; Gaussian sketches act on U instead of B.  These
+tests check that the cached scores reproduce the uncached sketch bit for
+bit, that each is computed once per support set the runs visit, and that
+Gaussian surrogates built from U and from B follow the same law.
 """
 
 from dataclasses import replace
@@ -23,18 +23,14 @@ from approxnewton import (
     make_leverage_sketch,
     make_oblivious_sketch,
     sketched_hessian,
+    solvers,
     svm_hinge2_objective,
     synthetic_two_class,
 )
-from approxnewton import sketch
 from approxnewton.errors import ShapeError
+from approxnewton.hessian_approx import exact_hessian
 from approxnewton.problems import CurvatureMemo
-from approxnewton.sketch import (
-    GAUSSIAN,
-    LEVERAGE_SCORE,
-    leverage_scores,
-    triangular_factor,
-)
+from approxnewton.sketch import GAUSSIAN, LEVERAGE_SCORE, leverage_scores
 from approxnewton.solvers import SolverConfig
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -68,31 +64,6 @@ class TestLeverageScoresArgument:
             make_leverage_sketch(B, 5, 0, scores=np.full(19, 1 / 19))
 
 
-class TestTriangularFactor:
-    @staticmethod
-    def _check(B):
-        R = triangular_factor(B)
-        assert R.shape == (min(B.shape), B.shape[1])
-        assert np.allclose(np.tril(R, -1), 0.0)
-        gram = B.T @ B
-        err = np.linalg.norm(R.T @ R - gram)
-        assert err <= 1e-12 * np.linalg.norm(gram)
-
-    @PROPERTY
-    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
-    def test_gram_preserved_tall_and_wide(self, n, d, key):
-        self._check(_gaussian(key, (n, d)))
-
-    @PROPERTY
-    @given(st.integers(2, 12), st.integers(2, 12), st.data())
-    def test_gram_preserved_rank_deficient(self, n, d, data):
-        rank = data.draw(st.integers(1, min(n, d) - 1))
-        key = data.draw(st.integers(0, 2**32 - 1))
-        B = _gaussian(key, (n, rank)) @ _gaussian(key + 1, (rank, d))
-        assert np.linalg.matrix_rank(B) == rank
-        self._check(B)
-
-
 @pytest.fixture
 def ls_problem():
     A = _gaussian(11, (200, 5))
@@ -100,19 +71,28 @@ def ls_problem():
     return least_squares_objective(A, b)
 
 
-def _count_decompositions(monkeypatch, name):
+# the memo kind of the decomposition each sketch kind reads, and the
+# memoized array its steps sketch
+_DECOMPOSITION = {LEVERAGE_SCORE: "leverage_scores", GAUSSIAN: "hessian_cholesky"}
+_SKETCHED = {LEVERAGE_SCORE: lambda obj, x: obj.hessian_factor(x),
+             GAUSSIAN: lambda obj, x: exact_hessian(obj, x).factor}
+
+
+def _computed(obj, kind):
+    """How many times the memo computed the decomposition `kind` reads."""
+    return obj.memo.stats()[_DECOMPOSITION[kind]][1]
+
+
+def _sketched_arrays(monkeypatch):
     seen = []
-    original = getattr(sketch, name)
+    original = solvers.sketched_hessian
 
-    def counted(B):
+    def recorded(B, S):
         seen.append(B)
-        return original(B)
+        return original(B, S)
 
-    monkeypatch.setattr(sketch, name, counted)
+    monkeypatch.setattr(solvers, "sketched_hessian", recorded)
     return seen
-
-
-_DECOMPOSITION = {LEVERAGE_SCORE: "leverage_scores", GAUSSIAN: "triangular_factor"}
 
 
 @pytest.mark.parametrize("kind", [LEVERAGE_SCORE, GAUSSIAN])
@@ -122,15 +102,15 @@ class TestFactorMemo:
                             sketch_size=60, max_iters=6, grad_tol=1e-300)
 
     def test_constant_factor_decomposed_once(self, monkeypatch, ls_problem, kind):
-        seen = _count_decompositions(monkeypatch, _DECOMPOSITION[kind])
+        sketched = _sketched_arrays(monkeypatch)
         trace = approximate_newton_run(ls_problem, self._config(kind),
                                        np.zeros(ls_problem.d))
         assert trace.n_steps == 6
-        assert len(seen) == 1
-        assert seen[0] is ls_problem.hessian_factor(None)
+        assert _computed(ls_problem, kind) == 1
+        memoized = _SKETCHED[kind](ls_problem, None)
+        assert len(sketched) == 6 and all(B is memoized for B in sketched)
 
-    def test_svm_decomposed_once_per_support_set(self, monkeypatch, kind):
-        seen = _count_decompositions(monkeypatch, _DECOMPOSITION[kind])
+    def test_svm_decomposed_once_per_support_set(self, kind):
         obj = svm_hinge2_objective(synthetic_two_class(120, 5, seed=4), C=4.0)
         obj.memo = CurvatureMemo(np.zeros(10**5))  # room for every support set
         keys = []
@@ -141,16 +121,33 @@ class TestFactorMemo:
             keys += [obj.curvature_key(step.x) for step in steps]
         # the runs share the support set at 0 and part from there
         assert 1 < len(set(keys)) < len(keys)
-        assert len(seen) == len(set(keys))
+        assert _computed(obj, kind) == len(set(keys))
 
 
-def test_gaussian_law_same_on_triangular_factor():
-    """S B and S R give surrogates whose achieved sandwich deviations have
+def _least_squares_at_zero():
+    A = _gaussian(5, (400, 6)) * np.logspace(0, -2, 6)
+    return least_squares_objective(A, _gaussian(6, 400)), np.zeros(6)
+
+
+def _svm_off_zero():
+    # the factor [sqrt(C/n) A_sv; I] of a partial support set, whose
+    # identity rows weigh as much as the loss rows
+    obj = svm_hinge2_objective(synthetic_two_class(400, 6, seed=8), C=12.0)
+    x = -0.1 * obj.gradient(np.zeros(6))
+    assert obj.hessian_sample_pool(x).size == 126
+    return obj, x
+
+
+@pytest.mark.parametrize("build", [_least_squares_at_zero, _svm_off_zero],
+                         ids=["least_squares", "svm"])
+def test_gaussian_law_same_on_cholesky_factor(build):
+    """S B and S U give surrogates whose achieved sandwich deviations have
     one law: two-sample KS statistic below 0.16, the 0.1% critical value
     for 300 against 300 samples."""
-    B = _gaussian(5, (400, 6)) * np.logspace(0, -2, 6)
-    R = triangular_factor(B)
-    hess = B.T @ B
+    obj, x = build()
+    B = obj.hessian_factor(x)
+    U = exact_hessian(obj, x).factor
+    hess = obj.full_hessian(x)
     size = 24
 
     def deviation(F, seed):
@@ -159,5 +156,5 @@ def test_gaussian_law_same_on_triangular_factor():
         return max(report.eps_lower, report.eps_upper)
 
     from_B = [deviation(B, seed) for seed in range(300)]
-    from_R = [deviation(R, seed) for seed in range(300, 600)]
-    assert scipy.stats.ks_2samp(from_B, from_R).statistic < 0.16
+    from_U = [deviation(U, seed) for seed in range(300, 600)]
+    assert scipy.stats.ks_2samp(from_B, from_U).statistic < 0.16

@@ -10,12 +10,15 @@ from approxnewton import (
     DomainError,
     FiniteSumObjective,
     NotPositiveDefinite,
+    SvmHinge2Objective,
     approximate_newton_run,
     least_squares_objective,
     rng,
     solve_inner,
     subsampled_hessian,
     superlinear_schedule,
+    svm_hinge2_objective,
+    synthetic_two_class,
 )
 from approxnewton.hessian_approx import METHODS, RootPlusShift
 from approxnewton.sketch import ALL_KINDS
@@ -144,6 +147,22 @@ class TestNewtonDriver:
                 p = solve_inner(H, obj.gradient(x), cfg.eps1, condition_bound(obj),
                                 cfg.inner).p
                 np.testing.assert_array_equal(xs[t + 1], x - p)
+
+    @pytest.mark.parametrize("method, extra", [("subsampled", {}),
+                                               ("newsamp", {"rank": 1})])
+    def test_sampled_step_derives_its_pool_once(self, monkeypatch, method, extra):
+        # a sample_fraction is resolved against the pool the rows are drawn
+        # from, so a step unpacks the SVM's support set once
+        calls = []
+        pool = SvmHinge2Objective.hessian_sample_pool
+        monkeypatch.setattr(SvmHinge2Objective, "hessian_sample_pool",
+                            lambda obj, x: calls.append(1) or pool(obj, x))
+        obj = svm_hinge2_objective(synthetic_two_class(60, 4, seed=5), C=1.0)
+        cfg = SolverConfig(hessian_method=method, sample_fraction=0.5, max_iters=5,
+                           grad_tol=1e-14, **extra)
+        trace = approximate_newton_run(obj, cfg, np.ones(4))
+        assert trace.n_steps >= 2
+        assert len(calls) == trace.n_steps
 
     def test_step_sink_leaves_the_run_unchanged(self, svm_tiny):
         # the sink sees every step as it is taken and changes nothing
