@@ -25,13 +25,6 @@ from .errors import ApproxNewtonError, DomainError
 from .problems import synthetic_spectrum_matrix
 
 
-def _output_dir(out: str | None) -> str:
-    """`--out` when given, an empty one too, else the default."""
-    if out is not None:
-        return out
-    return os.environ.get(experiments.OUTPUT_ENV_VAR, "approxnewton-out")
-
-
 def _cmd_run(args) -> int:
     overrides = {
         "output_dir": args.out,
@@ -45,9 +38,8 @@ def _cmd_run(args) -> int:
                 raise DomainError("--full-scale applies to --experiment only")
             cfg = experiments.load_config(args.config, overrides)
         elif args.experiment:
-            cfg = experiments.default_config(
-                args.experiment, _output_dir(args.out), bool(args.full_scale)
-            )
+            out = experiments.resolve_output_dir(args.out)
+            cfg = experiments.default_config(args.experiment, out, bool(args.full_scale))
             # --seed and --workers, checked by replace() as a config file's are
             given = {k: overrides[k] for k in ("seeds", "workers")}
             cfg = dataclasses.replace(
@@ -87,7 +79,7 @@ def _cmd_verify_embedding(args) -> int:
                      "eps": args.eps, "seed": args.problem_seed},
             grid=[{"sketch_kind": kind} for kind in args.kinds],
             seeds=list(range(args.seeds)),
-            output_dir=_output_dir(args.out),
+            output_dir=experiments.resolve_output_dir(args.out),
         )
         code = experiments.run_experiment(cfg)
     except ApproxNewtonError as exc:
@@ -101,8 +93,11 @@ def _cmd_verify_embedding(args) -> int:
 
 def _cmd_gen_synthetic(args) -> int:
     try:
+        experiments.check_seed(args.seed)
         ds = synthetic_spectrum_matrix(args.n, args.d, args.decay, args.seed)
-    except ApproxNewtonError as exc:
+        if args.out:
+            np.savez(args.out, rows=ds.rows, labels=ds.labels)
+    except (ApproxNewtonError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     svals = np.linalg.svd(ds.rows, compute_uv=False)
@@ -113,7 +108,6 @@ def _cmd_gen_synthetic(args) -> int:
     print(f"sigma_max: {svals[0]:.10g}")
     print(f"sigma_min: {svals[-1]:.10g}")
     if args.out:
-        np.savez(args.out, rows=ds.rows, labels=ds.labels)
         print(f"written: {args.out}")
     return 0
 

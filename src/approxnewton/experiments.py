@@ -60,6 +60,13 @@ EXPERIMENTS = (
 
 OUTPUT_ENV_VAR = "APPROXNEWTON_OUT"
 
+
+def resolve_output_dir(out: str | None = None) -> str:
+    """`out` when given, an empty one too, else $APPROXNEWTON_OUT when set,
+    else `approxnewton-out`."""
+    return os.environ.get(OUTPUT_ENV_VAR, "approxnewton-out") if out is None else out
+
+
 TRACE_COLUMNS = ("t", "grad_norm", "grad_mstar_norm", "inner_residual", "status")
 SUMMARY_COLUMNS = (
     "tag",
@@ -180,7 +187,7 @@ PROBLEM_KEY_TYPES = {
 }
 
 
-def _check_seed(seed) -> None:
+def check_seed(seed) -> None:
     # `rng.generator` keys its Philox generator with one uint64
     solvers.check_number("seed", seed, "int")
     if not 0 <= seed < 2**64:
@@ -210,7 +217,7 @@ def _check_problem(problem, kinds: dict) -> None:
         elif not isinstance(value, str):
             raise DomainError(f"{key} must be a string, got {value!r}")
     if "seed" in problem:
-        _check_seed(problem["seed"])
+        check_seed(problem["seed"])
 
 
 def build_objective(problem: dict) -> FiniteSumObjective:
@@ -287,6 +294,7 @@ def run_cell(
             x0 = solvers.approximate_newton_run(obj, warm_cfg, x0).x_final
         trace = solvers.approximate_newton_run(obj, _solver_config(cell, cfg, seed), x0)
         metrics.fill_mstar_norms(trace, ref)
+        trace.gradients.clear()  # r_t is all the tables read of them
         try:
             report = metrics.classify_rate(trace, ref)
             rate_class, rho = report.classification, report.rho
@@ -321,7 +329,7 @@ def _summary_row(o: RunOutcome) -> tuple:
 def _check_config(cfg: ExperimentConfig) -> None:
     """Raise DomainError for a config that cannot run as written."""
     for seed in cfg.seeds:
-        _check_seed(seed)
+        check_seed(seed)
     if cfg.experiment == EMBEDDING_CHECK:
         _check_problem(cfg.problem, EMBEDDING_PROBLEM)
         for cell in cfg.grid:
@@ -528,7 +536,7 @@ def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
     unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise DomainError(f"unknown config keys: {sorted(unknown, key=str)}")
-    data.setdefault("output_dir", os.environ.get(OUTPUT_ENV_VAR, "approxnewton-out"))
+    data.setdefault("output_dir", resolve_output_dir())
     try:
         return ExperimentConfig(**data)
     except TypeError as exc:

@@ -192,11 +192,9 @@ def exact_hessian(obj: FiniteSumObjective, x: np.ndarray) -> DenseHessian:
     Hessian, under the objective's curvature key, so the exact steps and
     the M* reference at one key factor it once."""
     M = obj.full_hessian(x)
-    if obj.memo is None:
-        return DenseHessian(M)
-    key = obj.curvature_key(x)
+    x = np.array(x)  # the key is read on the first solve, at x as it is now
     return DenseHessian(
-        M, cholesky=lambda: obj.memo.get("hessian_cholesky", key, lambda: _cholesky(M))
+        M, cholesky=lambda: obj.memoized("hessian_cholesky", x, lambda: _cholesky(M))
     )
 
 

@@ -4,11 +4,13 @@ Objectives expose the average form F(x) = (1/n) * sum_i f_i(x) together with
 per-sample derivatives, so that uniform subsampling of the f_i is unbiased.
 Every value an objective returns is a pure function of x (and of the data
 it was built on), and objectives are safe to evaluate concurrently.  Behind
-them sits a bounded, thread-safe `CurvatureMemo`: the curvature arrays that
-the runs of one experiment share (a Hessian, its Cholesky and B factors and
-B's leverage scores) are keyed by the objective's `curvature_key` at x,
-computed once while they stay in it, and handed out read-only.  The SVM keeps the
-gradient and support set of each x there too, keyed by the bytes of x.
+them sits a bounded, thread-safe `CurvatureMemo`.  An objective exposes its
+curvature (the Hessian, a factor B with B^T B equal to it, sampling hooks);
+`memoized(kind, x, compute)` keeps what steps derive from it under the
+`curvature_key` at x, computed once while held and handed out read-only.
+Kinds: `full_hessian`, `hessian_factor`, `hessian_cholesky`,
+`leverage_scores`, and the SVM's `point` (gradient and support set of each
+x, keyed by the bytes of x).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import rng, sketch
+from . import rng
 from .errors import (
     DomainError,
     LabelDomain,
@@ -169,7 +171,7 @@ class FiniteSumObjective:
     builders.  `K` bounds max_i ||hess f_i(x)||, `sigma` lower bounds the
     smallest eigenvalue of the full Hessian, and `L` upper bounds its
     largest eigenvalue.  `memo` holds what the objective's callers
-    share; an objective without one recomputes on every call.
+    share, looked up through `memoized`.
     """
 
     n: int
@@ -202,18 +204,12 @@ class FiniteSumObjective:
         under it."""
         raise NotImplementedError
 
-    def leverage_scores(self, x: np.ndarray) -> np.ndarray:
-        """`sketch.leverage_scores` of the Hessian factor at x, computed
-        once per curvature key while the memo holds it.  A leverage step
-        samples the rows of that factor too, so the scores are taken from
-        the memoized `hessian_factor`."""
-
-        def compute():
-            return sketch.leverage_scores(self.hessian_factor(x))
-
+    def memoized(self, kind: str, x: np.ndarray, compute):
+        """`compute()`, kept in the memo under `kind` and the curvature key
+        at x; an objective without a memo computes it on every call."""
         if self.memo is None:
             return compute()
-        return self.memo.get("leverage_scores", self.curvature_key(x), compute)
+        return self.memo.get(kind, self.curvature_key(x), compute)
 
     # -- split-out regularizer ----------------------------------------------
     regularizer_scale: float = 0.0  # the regularizer Hessian is this times I
@@ -407,7 +403,7 @@ class SvmHinge2Objective(FiniteSumObjective):
             sv = self._support_rows(self._at(x))
             return np.vstack([np.sqrt(self.C / self.n) * sv, np.eye(self.d)])
 
-        return self.memo.get("hessian_factor", self.curvature_key(x), compute)
+        return self.memoized("hessian_factor", x, compute)
 
     def curvature_key(self, x):
         return self._at(x).support_bits.tobytes()

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
+from . import rng, sketch
 from .errors import DomainError, NotPositiveDefinite, ShapeError
 from .hessian_approx import (
     EXACT,
@@ -347,7 +347,8 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
         else:
             B = obj.hessian_factor(x)
         if cfg.sketch_kind == LEVERAGE_SCORE:
-            S = make_leverage_sketch(B, size, seed_t, scores=obj.leverage_scores(x))
+            scores = obj.memoized("leverage_scores", x, lambda: sketch.leverage_scores(B))
+            S = make_leverage_sketch(B, size, seed_t, scores=scores)
         else:
             S = make_oblivious_sketch(cfg.sketch_kind, size, B.shape[0], seed_t)
         return sketched_hessian(B, S)

@@ -22,6 +22,7 @@ from approxnewton import (
     approximate_newton_run,
     compute_mstar_reference,
     least_squares_objective,
+    sketch,
     solvers,
     svm_hinge2_objective,
     synthetic_two_class,
@@ -46,13 +47,20 @@ def least_squares():
     return least_squares_objective(LS_A, LS_B)
 
 
+def leverage_scores(obj, x):
+    """The scores a leverage step at x samples by: those of the Hessian
+    factor, memoized under the curvature key as the step keeps them."""
+    return obj.memoized("leverage_scores", x,
+                        lambda: sketch.leverage_scores(obj.hessian_factor(x)))
+
+
 # every array-valued quantity the memo stands behind, as a function of x
 QUANTITIES = {
     "gradient": lambda obj, x: obj.gradient(x),
     "full_hessian": lambda obj, x: obj.full_hessian(x),
     "hessian_factor": lambda obj, x: obj.hessian_factor(x),
     "hessian_term_root": lambda obj, x: obj.hessian_term_root(TERM_ROWS, x),
-    "leverage_scores": lambda obj, x: obj.leverage_scores(x),
+    "leverage_scores": leverage_scores,
     "hessian_cholesky": lambda obj, x: exact_hessian(obj, x).factor,
 }
 SVM_QUANTITIES = dict(
@@ -143,7 +151,7 @@ def test_bytes_held_never_exceed_data_matrix(keys):
     for key in keys:
         x = np.random.Generator(np.random.Philox(key=key)).standard_normal(12)
         obj.full_hessian(x)
-        obj.leverage_scores(x)
+        leverage_scores(obj, x)
         held = sum(nbytes for _, _, nbytes in obj.memo.stats().values())
         assert held == obj.memo.nbytes <= obj.memo.max_bytes == data.rows.nbytes
 
@@ -172,7 +180,7 @@ class TestCurvatureMemo:
         # the factor the scores come from is counted once, in its own entry
         obj = svm()
         x = -obj.gradient(np.zeros(obj.d))  # a support set small enough to keep
-        scores = obj.leverage_scores(x)
+        scores = leverage_scores(obj, x)
         stats = obj.memo.stats()
         assert stats["leverage_scores"][2] == scores.nbytes
         assert stats["hessian_factor"][2] == obj.hessian_factor(x).nbytes
@@ -348,5 +356,39 @@ def test_gaussian_runs_reuse_the_reference_cholesky():
 def test_objective_without_memo_recomputes():
     obj = least_squares()
     obj.memo = None
-    first, second = obj.leverage_scores(None), obj.leverage_scores(None)
-    assert first is not second and np.array_equal(first, second)
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return np.arange(3.0)
+
+    first, second = obj.memoized("k", None, compute), obj.memoized("k", None, compute)
+    assert len(calls) == 2 and first is not second
+    assert first.flags.writeable  # nothing kept, so nothing handed out read-only
+
+
+@pytest.mark.parametrize("cfg", [
+    SolverConfig(max_iters=2, grad_tol=1e-300),
+    SolverConfig(hessian_method="sketched", sketch_kind="leverage_score",
+                 sketch_size=40, max_iters=2, grad_tol=1e-300, seed=0),
+    _gaussian_config(0, 2),
+], ids=["exact", "leverage_score", "gaussian"])
+def test_runs_without_memo_equal_runs_with_one(cfg):
+    bare = least_squares()
+    bare.memo = None
+    kept = approximate_newton_run(least_squares(), cfg, np.zeros(5))
+    run = approximate_newton_run(bare, cfg, np.zeros(5))
+    assert run.n_steps == 2
+    assert run.grad_norms == kept.grad_norms
+    assert np.array_equal(run.x_final, kept.x_final)
+
+
+def test_leverage_step_builds_the_factor_once():
+    # every row is a support vector at 0, so the (n + d) x d factor is larger
+    # than the data matrix and not kept: the step takes the scores from the
+    # factor it already holds rather than building it again
+    obj = svm()
+    cfg = SolverConfig(hessian_method="sketched", sketch_kind="leverage_score",
+                       sketch_size=40, max_iters=1, grad_tol=1e-300, seed=0)
+    assert approximate_newton_run(obj, cfg, np.zeros(obj.d)).n_steps == 1
+    assert obj.memo.stats()["hessian_factor"][:2] == (0, 1)

@@ -326,6 +326,17 @@ class TestRunExperiment:
         assert sum(line.startswith("run sub_s") and "total_wall_ms=" in line
                    for line in metadata) == 3
 
+    def test_finished_run_holds_no_gradients(self, tmp_path):
+        # r_t is filled from the gradients, and the tables read only r_t
+        cfg = tiny_config(tmp_path)
+        obj = build_objective(cfg.problem)
+        ref = metrics.compute_mstar_reference(obj, np.zeros(obj.d))
+        for cell in cfg.grid:
+            trace = experiments.run_cell(obj, ref, cell, cfg, 0).trace
+            assert trace.n_steps > 0
+            assert trace.gradients == []
+            assert len(trace.grad_mstar_norms) == trace.n_steps + 1
+
     def test_metadata_records_memo_reuse(self, tmp_path):
         cfg = tiny_config(tmp_path)
         cfg.grid = [{"label": "lev", "method": "sketched",
@@ -642,6 +653,22 @@ class TestCli:
                      str(out)]) == 0
         with np.load(out) as data:
             assert data["rows"].shape == (30, 3)
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_gen_synthetic_rejects_a_seed_out_of_range(self, seed, capsys):
+        assert main(["gen-synthetic", "--n", "30", "--d", "3", "--seed", seed]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must be in [0, 2**64), got {seed}\n"
+
+    def test_gen_synthetic_reports_an_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "data.npz"
+        assert main(["gen-synthetic", "--n", "30", "--d", "3", "--out",
+                     str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_run_with_config_file(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"
