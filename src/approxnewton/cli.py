@@ -28,7 +28,6 @@ from .problems import synthetic_spectrum_matrix
 def _cmd_run(args) -> int:
     overrides = {
         "output_dir": args.out,
-        "experiment": args.experiment,
         "seeds": [args.seed] if args.seed is not None else None,
         "workers": args.workers,
     }
@@ -36,6 +35,8 @@ def _cmd_run(args) -> int:
         if args.config:
             if args.full_scale:
                 raise DomainError("--full-scale applies to --experiment only")
+            if args.experiment:
+                raise DomainError("--experiment takes no config file")
             cfg = experiments.load_config(args.config, overrides)
         elif args.experiment:
             out = experiments.resolve_output_dir(args.out)

@@ -35,7 +35,7 @@ from .errors import ApproxNewtonError, DomainError
 from .hessian_approx import EXACT, SKETCHED, SUBSAMPLED
 from .problems import (
     FiniteSumObjective,
-    least_squares_objective,
+    LeastSquaresObjective,
     load_libsvm,
     svm_hinge2_objective,
     synthetic_spectrum_matrix,
@@ -228,7 +228,7 @@ def build_objective(problem: dict) -> FiniteSumObjective:
         ds = synthetic_spectrum_matrix(
             problem["n"], problem["d"], problem["decay"], problem.get("seed", 0)
         )
-        return least_squares_objective(ds.rows, ds.labels)
+        return LeastSquaresObjective(ds)
     if kind == "spiked":
         ds = synthetic_spiked_matrix(
             problem["n"],
@@ -237,7 +237,7 @@ def build_objective(problem: dict) -> FiniteSumObjective:
             n_heavy=problem.get("n_heavy"),
             heavy_scale=problem.get("heavy_scale", 0.3),
         )
-        return least_squares_objective(ds.rows, ds.labels)
+        return LeastSquaresObjective(ds)
     if kind == "two_class":
         ds = synthetic_two_class(
             problem["n"],

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .errors import DomainError, InsufficientData, ReferenceNotConverged, ShapeError
-from .hessian_approx import _cholesky, exact_hessian
+from .hessian_approx import exact_hessian
 from .problems import FiniteSumObjective
 from .solvers import DIVERGED, IterationTrace, SolverConfig, approximate_newton_run
 
@@ -52,17 +52,14 @@ class MstarReference:
 
     `H*^{-1} = U^{-1} U^{-T}`, so the M*-norm of v is `||U^{-T} v||` and
     takes one triangular solve (`mstar_norm`).  The factor is numpy's, in
-    the Fortran order LAPACK reads, as every surrogate's is; it is made
-    here unless given.  `hessian` and `factor` are held as given, not
-    copied.
+    the Fortran order LAPACK reads, as every surrogate's is.  `hessian`
+    and `factor` are held as given, not copied.
     """
 
-    def __init__(
-        self, x_star: np.ndarray, hessian: np.ndarray, factor: np.ndarray | None = None
-    ):
+    def __init__(self, x_star: np.ndarray, hessian: np.ndarray, factor: np.ndarray):
         self.x_star = x_star
         self.hessian = hessian
-        self.factor = _cholesky(hessian) if factor is None else factor
+        self.factor = factor
 
     @functools.cached_property
     def mstar_half(self) -> np.ndarray:

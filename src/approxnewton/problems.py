@@ -172,15 +172,23 @@ class FiniteSumObjective:
     smallest eigenvalue of the full Hessian, and `L` upper bounds its
     largest eigenvalue.  `memo` holds what the objective's callers
     share, looked up through `memoized`.
+
+    Every objective is built on a checked `DatasetMatrix`: the base holds
+    its rows as a read-only view, not a copy, and its labels, and sizes
+    the memo by those rows.
     """
 
-    n: int
-    d: int
     K: float
     sigma: float
     L: float
-    name: str = ""
-    memo: CurvatureMemo | None = None
+
+    def __init__(self, data: DatasetMatrix, name: str):
+        self._A = data.rows.view()  # read-only without a copy
+        self._A.flags.writeable = False
+        self._b = data.labels
+        self.n, self.d = data.rows.shape
+        self.name = data.name or name
+        self.memo = CurvatureMemo(self._A)
 
     # -- full derivatives ---------------------------------------------------
     def value(self, x: np.ndarray) -> float:
@@ -206,9 +214,7 @@ class FiniteSumObjective:
 
     def memoized(self, kind: str, x: np.ndarray, compute):
         """`compute()`, kept in the memo under `kind` and the curvature key
-        at x; an objective without a memo computes it on every call."""
-        if self.memo is None:
-            return compute()
+        at x."""
         return self.memo.get(kind, self.curvature_key(x), compute)
 
     # -- split-out regularizer ----------------------------------------------
@@ -245,15 +251,9 @@ class LeastSquaresObjective(FiniteSumObjective):
     differently, both bounds come from a values-only SVD of A instead.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, name: str = "least-squares"):
-        A = np.asarray(A, dtype=float).view()  # read-only without a copy
-        A.flags.writeable = False
-        b = np.asarray(b, dtype=float).ravel()
-        if A.ndim != 2:
-            raise ShapeError("A must be a 2-d matrix")
-        if b.shape[0] != A.shape[0]:
-            raise ShapeError(f"{b.shape[0]} targets for {A.shape[0]} rows")
-        self.n, self.d = A.shape
+    def __init__(self, data: DatasetMatrix):
+        super().__init__(data, "least-squares")
+        A = self._A
         self._hessian = A.T @ A
         self._hessian.flags.writeable = False
         eigs = np.linalg.eigvalsh(self._hessian)
@@ -265,15 +265,10 @@ class LeastSquaresObjective(FiniteSumObjective):
                     f"smallest singular value {svals[-1]:.3e} <= {_RANK_TOL:.0e}"
                 )
             eigs = svals[::-1] ** 2
-        self._A = A
-        self._b = b
-        self._Atb = A.T @ b
-        self._row_sq = np.einsum("ij,ij->i", A, A)
+        self._Atb = A.T @ self._b
         self.sigma = float(eigs[0])
         self.L = float(eigs[-1])
-        self.K = float(self.n * self._row_sq.max())
-        self.name = name
-        self.memo = CurvatureMemo(A)
+        self.K = float(self.n * np.einsum("ij,ij->i", A, A).max())
 
     def value(self, x):
         x = self._check_x(x)
@@ -329,18 +324,13 @@ class SvmHinge2Objective(FiniteSumObjective):
     def __init__(self, data: DatasetMatrix, C: float = 1.0):
         if C <= 0:
             raise DomainError(f"C must be positive, got {C}")
-        labels = data.labels
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
+        if not np.all(np.isin(data.labels, (-1.0, 1.0))):
             raise LabelDomain("labels must all be -1 or +1")
-        self._A = data.rows
-        self._b = labels
+        super().__init__(data, "svm-hinge2")
         self.C = float(C)
-        self.n, self.d = data.rows.shape
         row_sq = np.einsum("ij,ij->i", self._A, self._A)
         self.sigma = 1.0
         self.K = float(1.0 + self.C * row_sq.max())
-        self.name = data.name or "svm-hinge2"
-        self.memo = CurvatureMemo(self._A)
         # every row is a support vector at 0, so the Hessian there bounds the
         # Hessian at every x; it stays in the memo for the first steps at 0
         self.L = float(np.linalg.eigvalsh(self.full_hessian(np.zeros(self.d)))[-1])
@@ -421,7 +411,7 @@ class SvmHinge2Objective(FiniteSumObjective):
 
 def least_squares_objective(A: np.ndarray, b: np.ndarray) -> LeastSquaresObjective:
     """Least-squares objective 0.5 * ||A x - b||^2 (A must have full column rank)."""
-    return LeastSquaresObjective(A, b)
+    return LeastSquaresObjective(DatasetMatrix(A, b))
 
 
 def svm_hinge2_objective(data: DatasetMatrix, C: float = 1.0) -> SvmHinge2Objective:

@@ -380,7 +380,7 @@ class TestRunExperiment:
         cfg.grid = [{"label": "newton", "method": "exact"}]
         ds = synthetic_spectrum_matrix(60, 4, 1.2, seed=2)
         ref = metrics.compute_mstar_reference(build_objective(cfg.problem), np.zeros(4))
-        obj = NanAfterFirstGradient(ds.rows, ds.labels)
+        obj = NanAfterFirstGradient(ds)
         monkeypatch.setattr(experiments, "build_objective", lambda problem: obj)
         monkeypatch.setattr(metrics, "compute_mstar_reference", lambda o, x0: ref)
         assert run_experiment(cfg) == 0
@@ -798,6 +798,7 @@ class TestCli:
             ({"problem": "{kind: synthetic, n: 40, d: 4, decay: -.inf, seed: 3}"}, [],
              "decay must be finite, got -inf"),
             ({}, ["--full-scale"], "--full-scale"),
+            ({}, ["--experiment", "sketch_sweep"], "--experiment takes no config file"),
             ({"full_scale": "true"}, [], "full_scale"),
             ({"grid": "[{label: a, gradient_mode: subsampled, "
                       "gradient_sample_size: 20}]"}, [], "gradient_mode"),

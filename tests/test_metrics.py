@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approxnewton import (
+    DatasetMatrix,
     DomainError,
     InsufficientData,
     LeastSquaresObjective,
@@ -32,7 +33,8 @@ from approxnewton.solvers import IterationTrace, SolverConfig
 
 
 def make_reference(matrix):
-    return MstarReference(np.zeros(matrix.shape[0]), matrix)
+    return MstarReference(np.zeros(matrix.shape[0]), matrix,
+                          np.linalg.cholesky(matrix, upper=True))
 
 
 def trace_from_residuals(res, ref):
@@ -73,7 +75,7 @@ class TestReference:
             def full_hessian(self, x):
                 return 1e3 * super().full_hessian(x)
 
-        obj = OverCurved(ls_tiny._A, ls_tiny._b)
+        obj = OverCurved(DatasetMatrix(ls_tiny._A, ls_tiny._b))
         tol = 1e-13 * max(1.0, float(np.linalg.norm(obj.gradient(np.zeros(4)))))
         with pytest.raises(ReferenceNotConverged) as info:
             compute_mstar_reference(obj, np.zeros(4))
@@ -151,7 +153,7 @@ class TestMstarNorm:
         H = (Q * np.logspace(0.0, log_cond, d)) @ Q.T
         H = 0.5 * (H + H.T)
         v = gen.standard_normal(d)
-        ref = MstarReference(np.zeros(d), H)
+        ref = MstarReference(np.zeros(d), H, np.linalg.cholesky(H, upper=True))
         assert mstar_norm(ref, v) == pytest.approx(
             float(np.linalg.norm(ref.mstar_half @ v)), rel=1e-8
         )

@@ -102,6 +102,14 @@ class TestLeastSquares:
         with pytest.raises(RankDeficient):
             least_squares_objective(A, np.ones(4))
 
+    @pytest.mark.parametrize("where", ["A", "b"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, where, bad):
+        A, b = np.eye(3), np.ones(3)
+        (A if where == "A" else b)[1] = bad
+        with pytest.raises(DomainError, match="NaN or Inf"):
+            least_squares_objective(A, b)
+
     def test_hessian_constant_in_x(self, ls_small):
         gen = np.random.Generator(np.random.Philox(key=4))
         H1 = ls_small.full_hessian(gen.standard_normal(5))

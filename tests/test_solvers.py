@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from approxnewton import (
+    DatasetMatrix,
     DomainError,
     FiniteSumObjective,
     NotPositiveDefinite,
@@ -21,6 +22,7 @@ from approxnewton import (
     synthetic_two_class,
 )
 from approxnewton.hessian_approx import METHODS, RootPlusShift
+from approxnewton.problems import CurvatureMemo
 from approxnewton.sketch import ALL_KINDS
 from approxnewton.solvers import (
     CONVERGED,
@@ -212,8 +214,8 @@ class TestNewtonDriver:
 
     def test_non_finite_gradient_is_the_last_norm(self):
         gen = np.random.Generator(np.random.Philox(key=4))
-        obj = NanAfterFirstGradient(gen.standard_normal((20, 3)),
-                                    gen.standard_normal(20))
+        obj = NanAfterFirstGradient(DatasetMatrix(gen.standard_normal((20, 3)),
+                                                  gen.standard_normal(20)))
         trace = approximate_newton_run(obj, SolverConfig(), np.zeros(3))
         assert trace.status == DIVERGED
         assert trace.n_steps == 1
@@ -387,6 +389,7 @@ class QuadraticQuartic(FiniteSumObjective):
     def __init__(self, Q, q, c):
         self.Q, self.q, self.c = Q, q, c
         self.n, self.d = 1, Q.shape[0]
+        self.memo = CurvatureMemo(Q)
         self.sigma = float(np.linalg.eigvalsh(Q)[0])
         self.L = float(np.linalg.eigvalsh(Q)[-1]) + 3 * c * 4.0  # |x_i| <= 2 region
         self.K = self.L
@@ -399,6 +402,9 @@ class QuadraticQuartic(FiniteSumObjective):
 
     def full_hessian(self, x):
         return self.Q + 3 * self.c * np.diag(x**2)
+
+    def curvature_key(self, x):
+        return x.tobytes()  # the Hessian changes with x
 
 
 class TestQuadraticRegime:
