@@ -24,7 +24,7 @@ from scipy.linalg.lapack import dpotrs
 from . import rng
 from .errors import DomainError, NotPositiveDefinite, ShapeError
 from .problems import FiniteSumObjective
-from .sketch import SketchOperator, apply_sketch
+from .sketch import SketchOperator, apply_sketch, strict_upper_mask
 
 EXACT = "exact"
 SKETCHED = "sketched"
@@ -198,13 +198,30 @@ def exact_hessian(obj: FiniteSumObjective, x: np.ndarray) -> DenseHessian:
     )
 
 
+def _is_cholesky_factor(R: np.ndarray) -> bool:
+    """Whether R is square and upper triangular with a positive diagonal,
+    so that it is the upper Cholesky factor of R^T R."""
+    d = R.shape[1]
+    return (R.shape[0] == d and R.diagonal().min() > 0
+            and not R.T[strict_upper_mask(d)].any())
+
+
 def sketched_hessian(B: np.ndarray, S: SketchOperator) -> ApproxHessian:
-    """H = (S B)^T (S B) for a Hessian factor B with B^T B = hess F."""
+    """H = (S B)^T (S B) for a Hessian factor B with B^T B = hess F.
+
+    A Gaussian operator held as its Bartlett triangle T sketches B to T B.
+    When B is itself a Cholesky factor, such as the memoized one a Gaussian
+    step passes, T B is upper triangular with a positive diagonal, so it is
+    the Cholesky factor of H, and H is never factored.
+    """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[0] != S.m:
         raise ShapeError(f"operator expects {S.m} rows, factor has shape {B.shape}")
     SB = apply_sketch(S, B)
     meta = {"sketch_kind": S.kind, "size": S.s, "seed": S.seed}
+    if "triangle" in S.payload and _is_cholesky_factor(SB):
+        R = np.asfortranarray(SB)
+        return DenseHessian(_symmetrized(R.T @ R), meta, cholesky=lambda: R)
     return _root_plus_shift(SB, 1, 0.0, meta)
 
 

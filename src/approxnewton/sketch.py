@@ -2,7 +2,13 @@
 
 Three operator families are supported:
 
-* ``gaussian`` -- dense s x m matrix with i.i.d. N(0, 1/s) entries,
+* ``gaussian`` -- an s x m matrix S with i.i.d. N(0, 1/s) entries.  With
+  s >= m only the m x m upper triangle T of S's QR factorization is drawn,
+  by Bartlett's decomposition: entries above the diagonal i.i.d. N(0, 1/s),
+  s * T_ii^2 ~ chi^2 with s - i degrees of freedom (i = 0..m-1), all
+  independent.  T^T T = S^T S, whose Wishart law is all an embedding check
+  or a sketched Hessian depends on, then costs O(m^2) draws in place of
+  s * m.  With s < m the dense S is drawn,
 * ``sparse_embedding`` -- one nonzero (+-1) per column, a count-sketch,
 * ``leverage_score`` -- rows sampled with the leverage scores of a fixed
   matrix and rescaled by 1/sqrt(p_i * s).
@@ -15,6 +21,7 @@ checker computes that spectral form exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,13 +100,21 @@ def tracking_sketch_size(kind: str, d: int, eps: float) -> int:
 
 
 def make_oblivious_sketch(kind: str, s: int, m: int, seed: int) -> SketchOperator:
-    """Construct a data-oblivious (Gaussian or sparse-embedding) operator."""
+    """Construct a data-oblivious (Gaussian or sparse-embedding) operator.
+
+    A Gaussian operator with s >= m holds its Bartlett triangle as
+    `payload["triangle"]`: the m x m upper-triangular T with T^T T equal in
+    law to S^T S for S with i.i.d. N(0, 1/s) entries (see the module
+    docstring).  With s < m it holds the dense s x m `payload["matrix"]`.
+    """
     if kind not in OBLIVIOUS_KINDS:
         raise DomainError(f"kind must be one of {OBLIVIOUS_KINDS}, got {kind!r}")
     if s < 1 or m < 1:
         raise ShapeError(f"need s >= 1 and m >= 1, got s={s}, m={m}")
     gen = rng.generator(seed)
-    if kind == GAUSSIAN:
+    if kind == GAUSSIAN and s >= m:
+        payload = {"triangle": _bartlett_triangle(gen, s, m)}
+    elif kind == GAUSSIAN:
         payload = {"matrix": gen.standard_normal((s, m)) / np.sqrt(s)}
     else:
         payload = {
@@ -107,6 +122,26 @@ def make_oblivious_sketch(kind: str, s: int, m: int, seed: int) -> SketchOperato
             "signs": gen.integers(0, 2, size=m) * 2.0 - 1.0,
         }
     return SketchOperator(kind, s, m, seed, payload)
+
+
+@functools.lru_cache(maxsize=16)  # every Gaussian step reads one
+def strict_upper_mask(m: int) -> np.ndarray:
+    """Read-only boolean mask of the entries above the diagonal of an m x m
+    matrix, in row-major order."""
+    mask = np.triu(np.ones((m, m), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _bartlett_triangle(gen: np.random.Generator, s: int, m: int) -> np.ndarray:
+    """The R factor, scaled by 1/sqrt(s), of the QR of an s x m standard
+    Gaussian matrix (s >= m): N(0, 1) above the diagonal and sqrt(chi^2_{s-i})
+    on it, all independent."""
+    T = np.zeros((m, m))
+    T[strict_upper_mask(m)] = gen.standard_normal(m * (m - 1) // 2)
+    np.fill_diagonal(T, np.sqrt(gen.chisquare(s - np.arange(m))))
+    T /= np.sqrt(s)
+    return T
 
 
 def _check_full_column_rank(A: np.ndarray, svals: np.ndarray) -> None:
@@ -155,11 +190,15 @@ def make_leverage_sketch(
 
 
 def apply_sketch(S: SketchOperator, A: np.ndarray) -> np.ndarray:
-    """Compute S @ A."""
+    """Compute S @ A, or T @ A for a Gaussian operator held as its Bartlett
+    triangle T: an m-row root whose Gram (T A)^T (T A) has the law of
+    (S A)^T (S A)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != S.m:
         raise ShapeError(f"operator expects {S.m} rows, got matrix of shape {A.shape}")
     if S.kind == GAUSSIAN:
+        if "triangle" in S.payload:
+            return S.payload["triangle"] @ A
         return S.payload["matrix"] @ A
     if S.kind == SPARSE_EMBEDDING:
         # one nonzero per column: the CSC arrays are the payload itself
@@ -172,11 +211,15 @@ def apply_sketch(S: SketchOperator, A: np.ndarray) -> np.ndarray:
 
 
 def materialize(S: SketchOperator) -> np.ndarray:
-    """Dense s x m matrix of the operator (small cases / diagnostics only)."""
-    if S.kind == GAUSSIAN:
+    """Dense s x m matrix of the operator (small cases / diagnostics only);
+    [T; 0] for a Gaussian operator held as its Bartlett triangle T, whose
+    product with any A has the Gram of T A."""
+    if S.kind == GAUSSIAN and "matrix" in S.payload:
         return S.payload["matrix"].copy()
     out = np.zeros((S.s, S.m))
-    if S.kind == SPARSE_EMBEDDING:
+    if S.kind == GAUSSIAN:
+        out[: S.m] = S.payload["triangle"]
+    elif S.kind == SPARSE_EMBEDDING:
         out[S.payload["rows"], np.arange(S.m)] = S.payload["signs"]
     else:
         out[np.arange(S.s), S.payload["indices"]] = S.payload["weights"]

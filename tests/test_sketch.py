@@ -37,11 +37,34 @@ def wide_matrix():
 
 class TestConstruction:
     def test_gaussian_moments(self):
-        # oracle: sample moments of the generated entries
-        S = make_oblivious_sketch(GAUSSIAN, 1000, 10, seed=0)
+        # oracle: sample moments of the dense entries drawn when s < m
+        S = make_oblivious_sketch(GAUSSIAN, 10, 1000, seed=0)
         entries = S.payload["matrix"].ravel()
         assert abs(entries.mean()) <= 1e-2
-        assert entries.var() == pytest.approx(1.0 / 1000, rel=0.10)
+        assert entries.var() == pytest.approx(1.0 / 10, rel=0.10)
+
+    def test_gaussian_below_m_keeps_dense_draw(self):
+        S = make_oblivious_sketch(GAUSSIAN, 5, 20, seed=3)
+        gen = np.random.Generator(np.random.Philox(key=np.uint64(3)))
+        assert S.payload.keys() == {"matrix"}
+        assert np.array_equal(S.payload["matrix"], gen.standard_normal((5, 20)) / np.sqrt(5))
+
+    def test_gaussian_bartlett_law(self):
+        # oracle: Bartlett's decomposition of the R factor of an s x m
+        # N(0, 1/s) matrix, over 2000 seeded draws
+        s, m, draws = 30, 8, 2000
+        Ts = np.array([make_oblivious_sketch(GAUSSIAN, s, m, seed).payload["triangle"]
+                       for seed in range(draws)])
+        assert not np.tril(Ts, -1).any()
+        i, j = np.triu_indices(m, 1)
+        off = Ts[:, i, j]
+        assert abs(off.mean()) <= 3e-3
+        assert off.var() == pytest.approx(1.0 / s, rel=0.03)
+        diag = np.arange(m)
+        chi2 = s * Ts[:, diag, diag] ** 2
+        np.testing.assert_allclose(chi2.mean(axis=0), s - diag, rtol=0.03)
+        gram = np.einsum("kij,kil->jl", Ts, Ts) / draws
+        np.testing.assert_allclose(gram, np.eye(m), atol=0.03)
 
     def test_sparse_one_nonzero_per_column(self):
         S = make_oblivious_sketch(SPARSE_EMBEDDING, 4, 6, seed=1)
@@ -133,6 +156,14 @@ class TestApply:
                 materialize(S) @ wide_matrix,
                 atol=1e-12,
             )
+
+    def test_bartlett_triangle_has_materialized_gram(self, wide_matrix):
+        S = make_oblivious_sketch(GAUSSIAN, 400, 300, seed=11)
+        dense = materialize(S)
+        assert dense.shape == (400, 300) and not dense[300:].any()
+        SA, dense_SA = apply_sketch(S, wide_matrix), dense @ wide_matrix
+        assert SA.shape == (300, 10)
+        np.testing.assert_allclose(SA.T @ SA, dense_SA.T @ dense_SA, rtol=1e-12)
 
     @pytest.mark.parametrize("s, m", [(1, 7), (25, 300), (432, 5000)])
     def test_sparse_embedding_bit_for_bit(self, s, m):

@@ -158,3 +158,26 @@ def test_gaussian_law_same_on_cholesky_factor(build):
     from_B = [deviation(B, seed) for seed in range(300)]
     from_U = [deviation(U, seed) for seed in range(300, 600)]
     assert scipy.stats.ks_2samp(from_B, from_U).statistic < 0.16
+
+
+def test_gaussian_steps_factor_nothing_beyond_the_memo(monkeypatch, ls_problem):
+    """A Gaussian step at s >= d hands its surrogate the Cholesky factor
+    T U of the Bartlett triangle T and the memoized factor U: the runs
+    factor only the Hessian, once, and each handed factor is the one
+    numpy's Cholesky finds for the surrogate."""
+    cholesky = np.linalg.cholesky
+    calls = []
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda *a, **k: calls.append(1) or cholesky(*a, **k))
+    surrogates = []
+    for seed, size in ((0, 5), (1, 10), (2, 40)):
+        cfg = SolverConfig(hessian_method="sketched", sketch_kind=GAUSSIAN,
+                           sketch_size=size, max_iters=4, grad_tol=1e-300, seed=seed)
+        approximate_newton_run(ls_problem, cfg, np.zeros(ls_problem.d),
+                               on_step=lambda step: surrogates.append(step.H))
+    assert len(surrogates) == 12
+    assert len(calls) == 1 == ls_problem.memo.stats()["hessian_cholesky"][1]
+    for H in surrogates:
+        expected = cholesky(H.matrix, upper=True)
+        assert np.linalg.norm(H.factor - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert len(calls) == 1
