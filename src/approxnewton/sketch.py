@@ -11,7 +11,8 @@ Three operator families are supported:
   s * m.  With s < m the dense S is drawn,
 * ``sparse_embedding`` -- one nonzero (+-1) per column, a count-sketch,
 * ``leverage_score`` -- rows sampled with the leverage scores of a fixed
-  matrix and rescaled by 1/sqrt(p_i * s).
+  matrix and rescaled by 1/sqrt(p_i * s); the scores come from a thin SVD
+  (`leverage_scores`) or from a Cholesky factor (`factor_leverage_scores`).
 
 An operator S is an eps-subspace embedding for A when ||S A x||^2 stays
 within (1 +- eps) * ||A x||^2 for every x; equivalently the generalized
@@ -165,12 +166,20 @@ def leverage_scores(A: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", U, U) / A.shape[1]
 
 
+def factor_leverage_scores(B: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Leverage scores of B from an upper-triangular U with U^T U = B^T B:
+    B U^-1 has orthonormal columns, so they are its squared row norms / d."""
+    # numpy, not a scipy triangular solve: see `hessian_approx._cholesky`
+    Q = B @ np.linalg.inv(U)
+    return np.einsum("ij,ij->i", Q, Q) / B.shape[1]
+
+
 def make_leverage_sketch(
     A: np.ndarray, s: int, seed: int, scores: np.ndarray | None = None
 ) -> SketchOperator:
     """Row-sampling operator with probabilities equal to the leverage scores of A.
 
-    `scores` is `leverage_scores(A)` when the caller already has them.
+    `scores` are the leverage scores of A when the caller already has them.
     """
     if s < 1:
         raise ShapeError(f"need s >= 1, got {s}")

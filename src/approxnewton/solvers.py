@@ -337,17 +337,18 @@ def _build_hessian(obj, x, cfg: SolverConfig, t: int) -> ApproxHessian:
                 )
             else:
                 size = recommended_sketch_size(cfg.sketch_kind, obj.d, cfg.eps0)
-        # a Gaussian sketch acts on the Hessian's Cholesky factor U, which the
-        # memo keeps per curvature key for the exact steps and the M*
-        # reference: U^T U = B^T B, so B U^-1 has orthonormal columns, S B U^-1
-        # is again i.i.d. N(0, 1/s) (rotation invariance) and S U has the law
-        # of S B
+        # the memo keeps the Hessian's Cholesky factor U per curvature key for
+        # the exact steps and the M* reference: U^T U = B^T B, so B U^-1 has
+        # orthonormal columns, whose squared row norms are B's leverage scores;
+        # a Gaussian sketch acts on U, as S B U^-1 is again i.i.d. N(0, 1/s)
+        # (rotation invariance) and S U has the law of S B
         if cfg.sketch_kind == GAUSSIAN:
             B = exact_hessian(obj, x).factor
         else:
             B = obj.hessian_factor(x)
         if cfg.sketch_kind == LEVERAGE_SCORE:
-            scores = obj.memoized("leverage_scores", x, lambda: sketch.leverage_scores(B))
+            scores = obj.memoized("leverage_scores", x, lambda: sketch.factor_leverage_scores(
+                B, exact_hessian(obj, x).factor))
             S = make_leverage_sketch(B, size, seed_t, scores=scores)
         else:
             S = make_oblivious_sketch(cfg.sketch_kind, size, B.shape[0], seed_t)

@@ -49,9 +49,10 @@ def least_squares():
 
 def leverage_scores(obj, x):
     """The scores a leverage step at x samples by: those of the Hessian
-    factor, memoized under the curvature key as the step keeps them."""
-    return obj.memoized("leverage_scores", x,
-                        lambda: sketch.leverage_scores(obj.hessian_factor(x)))
+    factor, from the memoized Cholesky factor and memoized under the
+    curvature key as the step keeps them."""
+    return obj.memoized("leverage_scores", x, lambda: sketch.factor_leverage_scores(
+        obj.hessian_factor(x), exact_hessian(obj, x).factor))
 
 
 # every array-valued quantity the memo stands behind, as a function of x

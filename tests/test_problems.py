@@ -392,10 +392,22 @@ class TestCurvatureBounds:
         assert obj.L == svals[0] ** 2
 
     def test_builtin_problems_need_no_svd(self, tmp_path):
+        # nor do sketch_sweep's leverage cells, on its least-squares problem
+        # and on the SVM: their steps score rows through the Cholesky factor
+        leverage = [cell for cell in default_config("sketch_sweep", str(tmp_path)).grid
+                    if cell["sketch_kind"] == "leverage_score"]
         for name in ("lipschitz_free", "sketch_sweep", "regularized_sweep"):
             problem = default_config(name, str(tmp_path)).problem
             with svd_calls() as svd:
-                build_objective(problem)
+                obj = build_objective(problem)
+                if name != "regularized_sweep":
+                    for seed, cell in enumerate(leverage):
+                        cfg = SolverConfig(hessian_method="sketched",
+                                           sketch_kind=cell["sketch_kind"],
+                                           sketch_size=cell["sketch_size"],
+                                           max_iters=4, grad_tol=1e-300, seed=seed)
+                        trace = approximate_newton_run(obj, cfg, np.zeros(obj.d))
+                        assert trace.n_steps == 4, (name, cell["label"])
             assert svd.call_count == 0, name
 
     def test_svm_l_bounds_every_hessian(self, svm_mid):

@@ -1,11 +1,13 @@
 """The sketch path's per-run decompositions of the Hessian.
 
-The objective computes the leverage scores of its Hessian factor B once per
-curvature key, and the memo keeps the upper Cholesky factor U of the Hessian
-B^T B under the same key; Gaussian sketches act on U instead of B.  These
-tests check that the cached scores reproduce the uncached sketch bit for
-bit, that each is computed once per support set the runs visit, and that
-Gaussian surrogates built from U and from B follow the same law.
+The memo keeps the upper Cholesky factor U of the Hessian B^T B under the
+objective's curvature key.  A leverage step computes the scores of the
+Hessian factor B once per key as the squared row norms of B U^-1, and
+Gaussian sketches act on U instead of B.  These tests check that those
+scores are the SVD's, that given scores reproduce the uncached sketch bit
+for bit, that each decomposition is computed once per support set the runs
+visit, and that Gaussian surrogates built from U and from B follow the same
+law.
 """
 
 from dataclasses import replace
@@ -30,7 +32,12 @@ from approxnewton import (
 from approxnewton.errors import ShapeError
 from approxnewton.hessian_approx import exact_hessian
 from approxnewton.problems import CurvatureMemo
-from approxnewton.sketch import GAUSSIAN, LEVERAGE_SCORE, leverage_scores
+from approxnewton.sketch import (
+    GAUSSIAN,
+    LEVERAGE_SCORE,
+    factor_leverage_scores,
+    leverage_scores,
+)
 from approxnewton.solvers import SolverConfig
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -45,6 +52,36 @@ def tall_factors(draw):
     d = draw(st.integers(1, 8))
     n = draw(st.integers(d + 1, 60))
     return _gaussian(draw(st.integers(0, 2**32 - 1)), (n, d))
+
+
+def _check_factor_scores(B, U):
+    """The scores from U match the SVD's within a tolerance set from the
+    float eps and kappa(B)^2, the conditioning of the Gram U is taken
+    from (the worst of 3000 seeded draws was 4 eps kappa^2); they are
+    non-negative, and normalized they are a distribution."""
+    got, want = factor_leverage_scores(B, U), leverage_scores(B)
+    tol = 10 * np.finfo(float).eps * np.linalg.cond(B) ** 2
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= tol
+    assert (got >= 0).all()
+    assert got.sum() == pytest.approx(1.0, abs=tol * B.shape[0])
+    probs = make_leverage_sketch(B, 1, 0, scores=got).payload["probs"]
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFactorLeverageScores:
+    @PROPERTY
+    @given(tall_factors(), st.integers(0, 6))
+    def test_match_svd_on_tall_factors(self, B, decades):
+        B = B * np.logspace(0, -decades, B.shape[1])  # kappa up to about 1e7
+        _check_factor_scores(B, np.linalg.cholesky(B.T @ B, upper=True))
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.3, 1.0, 3.0]))
+    def test_match_svd_on_svm_factors(self, key, scale):
+        obj = svm_hinge2_objective(synthetic_two_class(90, 5, seed=key % 50), C=4.0)
+        x = scale * _gaussian(key, obj.d)
+        _check_factor_scores(obj.hessian_factor(x), exact_hessian(obj, x).factor)
 
 
 class TestLeverageScoresArgument:
