@@ -237,6 +237,108 @@ class TestSvmHinge2:
         assert np.linalg.norm(B.T @ B - H) <= 1e-10 * np.linalg.norm(H)
 
 
+def svm_with_support(in_support, d, seed, C=3.0):
+    """An SVM and an x = e_0 whose support set is `in_support`: column 0
+    carries a margin below 1 on those rows and margin 2 on the rest."""
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    n = in_support.size
+    b = np.where(gen.random(n) < 0.5, -1.0, 1.0)
+    A = gen.standard_normal((n, d))
+    A[:, 0] = b * np.where(in_support, gen.uniform(-1.0, 0.5, n), 2.0)
+    obj = svm_hinge2_objective(DatasetMatrix(A, b), C=C)
+    x = np.zeros(d)
+    x[0] = 1.0
+    assert np.array_equal(obj.hessian_sample_pool(x), np.flatnonzero(in_support))
+    return obj, x
+
+
+def support_hessian(obj, x):
+    """I + (C/n) A_S^T A_S from one gather of the support rows."""
+    sv = obj._A[obj.hessian_sample_pool(x)]
+    return np.eye(obj.d) + (obj.C / obj.n) * (sv.T @ sv)
+
+
+class TestSvmSupportGram:
+    """The SVM Hessian summed over chunks of the support rows."""
+
+    SIZES = ("none", "one", "chunk-1", "chunk", "chunk+1", "several", "all")
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(size=st.sampled_from(SIZES), d=st.integers(1, 8),
+           rows=st.integers(1, 6), extra=st.integers(1, 20),
+           seed=st.integers(0, 2**32 - 1))
+    def test_chunked_gram_matches_one_gather(self, size, d, rows, extra, seed):
+        k = {"none": 0, "one": 1, "chunk-1": rows - 1, "chunk": rows,
+             "chunk+1": rows + 1, "several": 3 * rows + rows // 2 + 1,
+             "all": rows + extra}[size]
+        n = k if size == "all" else k + extra
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        in_support = np.zeros(n, dtype=bool)
+        in_support[gen.permutation(n)[:k]] = True
+        with mock.patch.object(problems, "_GRAM_BLOCK", rows * d):
+            obj, x = svm_with_support(in_support, d, seed)
+            H = obj.full_hessian(x)
+        # each entry of a k-term sum rounds by at most k eps of the sum
+        # of magnitudes, in both forms
+        sv = np.abs(obj._A[in_support])
+        bound = 2 * (k + 2) * EPS * (obj.C / n) * (sv.T @ sv) + 2 * EPS
+        assert np.all(np.abs(H - support_hessian(obj, x)) <= bound)
+
+    @pytest.mark.parametrize("size", ["one", "half", "full chunk", "all"])
+    def test_one_chunk_gives_the_gathers_bits(self, size):
+        n, d = 300, 7
+        k = {"one": 1, "half": n // 2, "full chunk": 120, "all": n}[size]
+        in_support = np.zeros(n, dtype=bool)
+        in_support[np.random.Generator(np.random.Philox(key=4)).permutation(n)[:k]] = True
+        block = k * d if size == "full chunk" else problems._GRAM_BLOCK
+        with mock.patch.object(problems, "_GRAM_BLOCK", block):
+            obj, x = svm_with_support(in_support, d, seed=11)
+            assert obj.full_hessian(x).tobytes() == support_hessian(obj, x).tobytes()
+
+    def test_factor_is_the_stacked_scaled_rows(self, svm_mid):
+        gen = np.random.Generator(np.random.Philox(key=12))
+        for scale in (0.0, 0.1, 1.0):
+            x = scale * gen.standard_normal(svm_mid.d)
+            sv = svm_mid._A[svm_mid.hessian_sample_pool(x)]
+            want = np.vstack([np.sqrt(svm_mid.C / svm_mid.n) * sv, np.eye(svm_mid.d)])
+            assert svm_mid.hessian_factor(x).tobytes() == want.tobytes()
+
+    @staticmethod
+    def traced_peak(f):
+        tracemalloc.start()
+        try:
+            f()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    # 20,000 x 64 (10 MB), three quarters of the rows in the support set:
+    # a 7.7 MB gather of them spans three chunks
+    N, D = 20000, 64
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        in_support = np.arange(self.N) % 4 != 0
+        obj, x = svm_with_support(in_support, self.D, seed=2)
+        return obj, x, int(in_support.sum())
+
+    def small_arrays(self):
+        # a few d x d arrays, and the support set's bits and indices
+        return 4 * self.D * self.D * 8 + 9 * self.N + 4096
+
+    def test_hessian_allocates_one_chunk(self, wide):
+        obj, x, n_sv = wide
+        assert n_sv * self.D > 3 * problems._GRAM_BLOCK
+        peak = self.traced_peak(lambda: obj.full_hessian(x))
+        assert peak <= 8 * problems._GRAM_BLOCK + self.small_arrays()
+
+    def test_factor_allocates_one_factor(self, wide):
+        obj, x, n_sv = wide
+        peak = self.traced_peak(lambda: obj.hessian_factor(x))
+        assert peak <= (n_sv + self.D) * self.D * 8 + self.small_arrays()
+
+
 class TestSvmPointMemo:
     """One n x d margin pass per distinct x, for every run and thread on the
     objective; the memo changes no bit of what the runs compute."""
